@@ -2,7 +2,7 @@ GO ?= go
 # PR number stamped into the benchmark snapshot file name; bump (or
 # override: `make bench-snapshot PR=5`) each PR so trajectories of all
 # PRs stay side by side.
-PR ?= 10
+PR ?= 12
 
 # Pipelines (bench-snapshot) must fail when any stage fails, not just
 # the last one, or a broken benchmark run would silently overwrite the
@@ -38,7 +38,7 @@ soak:
 
 # Chaos harness for the serving plane: mixed readers, streamers,
 # stalled consumers, appliers and deadline storms against the
-# supervised HTTP front end while engine panics and WAL append
+# one-tenant HTTP host while engine panics and WAL append
 # failures are injected mid-apply; asserts the liveness SLOs (reads
 # never fail hard, recovery within bound, recovered state
 # byte-identical to a cold rebuild, sequence continuity). Runs under
@@ -50,7 +50,7 @@ chaos:
 # Fleet load generator smoke: an in-process 4-tenant host driven by
 # mixed readers/appliers/streamers for a few seconds under the race
 # detector, then the per-tenant byte-identity check (host bytes ==
-# single-engine bytes over the same inputs). Fails on any protocol
+# a cold engine's report over the same inputs). Fails on any protocol
 # violation (a status outside the allowed set) or identity mismatch.
 bot-smoke:
 	$(GO) run -race ./cmd/rpi-bot -tenants 4 -duration 3s

@@ -34,7 +34,6 @@ import (
 	"rpeer/internal/host"
 	"rpeer/internal/netsim"
 	"rpeer/internal/pingsim"
-	"rpeer/internal/supervisor"
 	"rpeer/internal/tracesim"
 	"rpeer/internal/wal"
 	"rpeer/internal/worldfile"
@@ -483,16 +482,41 @@ func BenchmarkEngineApply(b *testing.B) {
 	}
 }
 
+// benchServer serves in as the default tenant of a host whose engine
+// journals to an in-memory WAL without automatic snapshots — the
+// rpi-serve wiring minus the disk — and returns the opened engine.
+func benchServer(b *testing.B, in rpi.Inputs, cfg serve.Config) (*rpi.Engine, *httptest.Server) {
+	b.Helper()
+	quiet := log.New(io.Discard, "", 0)
+	h, err := host.Open(host.Config{
+		Inputs:  func(host.TenantSpec) (rpi.Inputs, error) { return in, nil },
+		Options: []rpi.Option{rpi.WithWALFS(wal.NewMemFS()), rpi.WithSnapshotEvery(0)},
+		Logger:  quiet,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = h.Close() })
+	if err := h.Create(host.TenantSpec{Name: "default"}); err != nil {
+		b.Fatal(err)
+	}
+	lease, err := h.Lease(context.Background(), "default")
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := lease.Guard().Engine()
+	lease.Release()
+	cfg.Logger = quiet
+	srv := httptest.NewServer(serve.NewHost(h, "default", cfg))
+	b.Cleanup(srv.Close)
+	return eng, srv
+}
+
 // BenchmarkServeHTTP drives the rpi-serve handler through a real HTTP
 // stack (httptest): snapshot serving, per-IXP reports, and applies.
 func BenchmarkServeHTTP(b *testing.B) {
 	e := benchEnv(b)
-	eng, err := rpi.New(e.Inputs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv := httptest.NewServer(serve.New(eng))
-	defer srv.Close()
+	eng, srv := benchServer(b, e.Inputs, serve.Config{})
 	client := srv.Client()
 
 	get := func(b *testing.B, url string) int {
@@ -560,21 +584,11 @@ func BenchmarkServeHTTP(b *testing.B) {
 func BenchmarkServeOverload(b *testing.B) {
 	const burst = 64
 	e := benchEnv(b)
-	eng, err := rpi.New(e.Inputs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	quiet := log.New(io.Discard, "", 0)
-	g := supervisor.New(supervisor.Options{Logger: quiet})
-	g.Publish(eng)
-	front := serve.NewSupervised(g, serve.Config{
+	_, srv := benchServer(b, e.Inputs, serve.Config{
 		Admission: admission.Config{
 			Read: admission.Limits{Slots: 2, Queue: 2, MaxWait: 2 * time.Millisecond},
 		},
-		Logger: quiet,
 	})
-	srv := httptest.NewServer(front)
-	defer srv.Close()
 	client := srv.Client()
 
 	var (
@@ -635,14 +649,9 @@ func BenchmarkServeOverload(b *testing.B) {
 // wireDeltaBody renders a churn delta as a /v1/apply request body.
 func wireDeltaBody(b *testing.B, d rpi.Delta) []byte {
 	b.Helper()
-	var wd serve.WireDelta
-	for _, j := range d.Joins {
-		wd.Joins = append(wd.Joins, serve.WireJoin{
-			IXP: j.IXP, Iface: j.Iface.String(), ASN: uint32(j.ASN), PortMbps: j.PortMbps,
-		})
-	}
-	for _, l := range d.Leaves {
-		wd.Leaves = append(wd.Leaves, serve.WireKey{IXP: l.IXP, Iface: l.Iface.String()})
+	wd, err := serve.NewWireDelta(d)
+	if err != nil {
+		b.Fatal(err)
 	}
 	body, err := json.Marshal(wd)
 	if err != nil {

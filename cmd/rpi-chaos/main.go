@@ -1,7 +1,8 @@
 // Command rpi-chaos is the liveness proof of the serving plane: it
-// stands up the full production wiring — persistent engine over a
-// fault-injectable in-memory filesystem, supervisor guard, admission
-// control, HTTP front end on a real listener — drives it with a mixed
+// stands up the full production wiring — a tenant host whose one
+// persistent engine journals to a fault-injectable in-memory
+// filesystem, its supervisor guard, admission control, and the HTTP
+// front end on a real listener — drives it with a mixed
 // workload (readers, streamers, a deliberately stalled streamer,
 // appliers, a deadline storm), injects engine faults while the traffic
 // runs, and asserts the overload/self-healing SLOs:
@@ -45,13 +46,13 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rpeer/internal/admission"
+	"rpeer/internal/host"
 	"rpeer/internal/netsim"
 	"rpeer/internal/supervisor"
 	"rpeer/internal/wal"
 	"rpeer/pkg/rpi"
 	"rpeer/pkg/rpi/serve"
-
-	"rpeer/internal/admission"
 )
 
 func main() {
@@ -80,8 +81,8 @@ func main() {
 // harness is the in-process serving plane under test.
 type harness struct {
 	fsys  *wal.MemFS
-	guard *supervisor.Guard
-	front *serve.Server
+	guard *supervisor.Guard // the tenant's; it outlives every engine swap
+	front *serve.HostServer
 	base  string // http://127.0.0.1:port
 	ixp   string
 
@@ -100,6 +101,9 @@ type harness struct {
 	badStatus atomic.Value    // first unexpected status, as string
 }
 
+// tenant is the host's one tenant, served on the single-world routes.
+const tenant = "chaos"
+
 func run(cycles int, seed int64, recoveryBound, p99Bound time.Duration, verbose bool) error {
 	lg := log.New(io.Discard, "", 0)
 	if verbose {
@@ -114,8 +118,9 @@ func run(cycles int, seed int64, recoveryBound, p99Bound time.Duration, verbose 
 		h.ixp = name
 		break
 	}
-	open := func() (*rpi.Engine, *rpi.RecoveryInfo, error) {
-		return rpi.Open("chaos", in,
+	hst, err := host.Open(host.Config{
+		Inputs: func(host.TenantSpec) (rpi.Inputs, error) { return in, nil },
+		Options: []rpi.Option{
 			rpi.WithWALFS(h.fsys),
 			// Append-only fs traffic: injected faults land on the log,
 			// never on a background snapshot.
@@ -126,23 +131,26 @@ func run(cycles int, seed int64, recoveryBound, p99Bound time.Duration, verbose 
 					panic("rpi-chaos: injected engine fault")
 				}
 			}),
-		)
-	}
-	h.guard = supervisor.New(supervisor.Options{
-		Reopen:        open,
-		RetryInterval: 50 * time.Millisecond,
-		Logger:        lg,
+		},
+		Logger: lg,
 	})
-	eng, _, err := open()
 	if err != nil {
 		return err
 	}
-	h.guard.Publish(eng)
-	defer h.guard.Close()
+	defer hst.Close()
+	if err := hst.Create(host.TenantSpec{Name: tenant}); err != nil {
+		return err
+	}
+	lease, err := hst.Lease(context.Background(), tenant)
+	if err != nil {
+		return err
+	}
+	h.guard = lease.Guard()
+	lease.Release()
 
 	// Deliberately tiny limits: the workload must saturate them so the
 	// shedding path is exercised, not just available.
-	h.front = serve.NewSupervised(h.guard, serve.Config{
+	h.front = serve.NewHost(hst, tenant, serve.Config{
 		Admission: admission.Config{
 			Cheap:  admission.Limits{Slots: 4, Queue: 4, MaxWait: 500 * time.Millisecond},
 			Read:   admission.Limits{Slots: 2, Queue: 2, MaxWait: 500 * time.Millisecond},
@@ -435,7 +443,12 @@ func (h *harness) applier(ctx context.Context, seed int64) {
 // Allowed: 200, 503 (quarantine/overload), 422/400 (the delta lost a
 // validation race with concurrent churn), 499.
 func (h *harness) postDelta(cl *http.Client, d rpi.Delta) bool {
-	body, err := marshalWireDelta(d)
+	wd, err := serve.NewWireDelta(d)
+	if err != nil {
+		h.badStatus.CompareAndSwap(nil, fmt.Sprintf("encode delta: %v", err))
+		return false
+	}
+	body, err := json.Marshal(wd)
 	if err != nil {
 		h.badStatus.CompareAndSwap(nil, fmt.Sprintf("marshal delta: %v", err))
 		return false
@@ -516,18 +529,4 @@ func (h *harness) readP99() time.Duration {
 	sorted := append([]time.Duration(nil), h.readLat...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	return sorted[len(sorted)*99/100]
-}
-
-// marshalWireDelta renders an rpi.Delta as the /v1/apply JSON body.
-func marshalWireDelta(d rpi.Delta) ([]byte, error) {
-	wd := serve.WireDelta{}
-	for _, j := range d.Joins {
-		wd.Joins = append(wd.Joins, serve.WireJoin{
-			IXP: j.IXP, Iface: j.Iface.String(), ASN: uint32(j.ASN), PortMbps: j.PortMbps,
-		})
-	}
-	for _, l := range d.Leaves {
-		wd.Leaves = append(wd.Leaves, serve.WireKey{IXP: l.IXP, Iface: l.Iface.String()})
-	}
-	return json.Marshal(wd)
 }

@@ -254,7 +254,7 @@ func (c *Controller) TotalShed() uint64 {
 }
 
 // Expvar renders the live stats as an expvar.Var; the serving binary
-// publishes it as "rpi.admission" next to rpi.dropped_updates. The
+// publishes it as "rpi.admission" next to "rpi.host". The
 // counters are broken out twice: "classes" is the per-endpoint-class
 // view, "tenants" attributes the same traffic per tenant per class, so
 // shedding is traceable to the tenant causing it.

@@ -48,14 +48,29 @@ type tenantState struct {
 // queue occupancy). A request beyond the tenant's share is shed
 // immediately with ErrOverloaded — the class may have free slots, but
 // they are being kept available for the other tenants. An empty tenant
-// name skips fairness and attribution entirely (the single-tenant
-// path).
+// name skips fairness and attribution entirely (control-plane
+// requests that belong to no tenant).
 func (c *Controller) AdmitTenant(ctx context.Context, cl Class, tenant string) (release func(), err error) {
+	return c.admitTenant(ctx, cl, tenant, c.tenantCap(cl))
+}
+
+// AdmitSoleTenant is AdmitTenant for a tenant with no sibling to be
+// fair to: the request is attributed, but only the class gate bounds
+// it, so a lone tenant keeps the class's full slots and queue. Its
+// requests still count toward its fair share, so once a sibling
+// appears and the caller switches to AdmitTenant the cap sees them.
+func (c *Controller) AdmitSoleTenant(ctx context.Context, cl Class, tenant string) (release func(), err error) {
+	return c.admitTenant(ctx, cl, tenant, 0)
+}
+
+// admitTenant admits an attributed request; limit > 0 caps the
+// tenant's admitted plus queued requests in the class.
+func (c *Controller) admitTenant(ctx context.Context, cl Class, tenant string, limit int) (release func(), err error) {
 	if tenant == "" {
 		return c.Admit(ctx, cl)
 	}
 	tc := &c.tenantState(tenant).classes[cl]
-	if limit := c.tenantCap(cl); limit > 0 {
+	if limit > 0 {
 		if n := tc.inflight.Add(1); n > int64(limit) {
 			tc.inflight.Add(-1)
 			tc.shed.Add(1)

@@ -49,6 +49,44 @@ func TestTenantFairShareCapsHotTenant(t *testing.T) {
 	}
 }
 
+// TestSoleTenantUncapped: a sole tenant may hold the whole class and
+// its queue under the default share, with its traffic still
+// attributed; once it is no longer sole, AdmitTenant counts what it
+// already holds against the cap.
+func TestSoleTenantUncapped(t *testing.T) {
+	c := New(Config{Read: Limits{Slots: 2, Queue: 1, MaxWait: time.Second}})
+	var rels []func()
+	for i := 0; i < 2; i++ {
+		rel, err := c.AdmitSoleTenant(context.Background(), Read, "only")
+		if err != nil {
+			t.Fatalf("sole admit %d: %v", i, err)
+		}
+		rels = append(rels, rel)
+	}
+	queued := make(chan error, 1)
+	go func() {
+		rel, err := c.AdmitSoleTenant(context.Background(), Read, "only")
+		if err == nil {
+			rel()
+		}
+		queued <- err
+	}()
+	for c.Stats()["read"].Queued != 1 {
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := c.AdmitTenant(context.Background(), Read, "only"); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("capped admit over a full share: err = %v, want ErrOverloaded", err)
+	}
+	rels[0]()
+	if err := <-queued; err != nil {
+		t.Fatalf("queued sole request: %v", err)
+	}
+	rels[1]()
+	if got := c.TenantStats()["only"]["read"]; got.Admitted != 3 || got.Shed != 1 || got.Inflight != 0 {
+		t.Fatalf("sole tenant stats = %+v", got)
+	}
+}
+
 // TestTenantShareDisabled: TenantShare >= 1 removes the cap — one
 // tenant may hold the whole class (the global gate still bounds it).
 func TestTenantShareDisabled(t *testing.T) {
@@ -71,8 +109,8 @@ func TestTenantShareDisabled(t *testing.T) {
 	}
 }
 
-// TestTenantEmptyNameSkipsAttribution: the single-tenant path leaves
-// no tenant state behind.
+// TestTenantEmptyNameSkipsAttribution: unattributed (control-plane)
+// requests leave no tenant state behind.
 func TestTenantEmptyNameSkipsAttribution(t *testing.T) {
 	c := New(Config{Read: Limits{Slots: 1, Queue: 1, MaxWait: time.Second}})
 	rel, err := c.AdmitTenant(context.Background(), Read, "")

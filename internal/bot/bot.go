@@ -6,7 +6,7 @@
 // records.
 //
 // The bot speaks only the public wire surface (it works against an
-// in-process httptest server or a remote rpi-serve -multi), and it
+// in-process httptest server or a remote rpi-serve), and it
 // classifies every response the way an operator would: 200 admitted,
 // 503 shed (admission or quarantine), 400/422 rejected (a delta that
 // lost a validation race), 499/timeouts abandoned. Shedding is load
@@ -42,7 +42,7 @@ type Config struct {
 	// BaseURL is the serving host ("http://127.0.0.1:8090").
 	BaseURL string
 	// Tenants are the tenant names to drive. A single empty name drives
-	// the legacy single-tenant routes instead of /v1/t/{tenant}.
+	// the single-world (default tenant) routes instead of /v1/t/{tenant}.
 	Tenants []string
 	// Per-tenant worker populations.
 	Readers, Appliers, Streamers int
@@ -82,7 +82,7 @@ func (c ClassStats) ShedPct() float64 {
 
 // Report is one run's outcome: per tenant, per class.
 type Report struct {
-	Duration time.Duration                   `json:"duration_ns"`
+	Duration time.Duration                    `json:"duration_ns"`
 	Tenants  map[string]map[string]ClassStats `json:"tenants"`
 	// StreamEvents counts SSE update events received across all
 	// streams, per tenant.
@@ -359,7 +359,12 @@ func (r *run) applier(ctx context.Context, tenant string, seed int64) {
 }
 
 func (r *run) postDelta(cl *http.Client, tenant string, d rpi.Delta) bool {
-	body, err := marshalWireDelta(d)
+	wd, err := serve.NewWireDelta(d)
+	if err != nil {
+		r.bad.CompareAndSwap(nil, "encode delta: "+err.Error())
+		return false
+	}
+	body, err := json.Marshal(wd)
 	if err != nil {
 		r.bad.CompareAndSwap(nil, "marshal delta: "+err.Error())
 		return false
@@ -440,19 +445,4 @@ func sleepCtx(ctx context.Context, d time.Duration) {
 	case <-ctx.Done():
 	case <-time.After(d):
 	}
-}
-
-// marshalWireDelta renders an rpi.Delta as the /v1/apply JSON body
-// (joins and leaves; bot churn carries no RTT overrides).
-func marshalWireDelta(d rpi.Delta) ([]byte, error) {
-	wd := serve.WireDelta{}
-	for _, j := range d.Joins {
-		wd.Joins = append(wd.Joins, serve.WireJoin{
-			IXP: j.IXP, Iface: j.Iface.String(), ASN: uint32(j.ASN), PortMbps: j.PortMbps,
-		})
-	}
-	for _, l := range d.Leaves {
-		wd.Leaves = append(wd.Leaves, serve.WireKey{IXP: l.IXP, Iface: l.Iface.String()})
-	}
-	return json.Marshal(wd)
 }

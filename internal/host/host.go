@@ -39,6 +39,7 @@ import (
 	"regexp"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rpeer/internal/supervisor"
@@ -72,8 +73,9 @@ type TenantSpec struct {
 	// Seed derives the tenant's base world; two tenants with the same
 	// seed and profile hold identical (but fully independent) worlds.
 	Seed int64 `json:"seed,omitempty"`
-	// Profile selects the world scale; interpretation belongs to the
-	// Config.Inputs factory (cmd/rpi-serve maps "tiny" and "default").
+	// Profile selects the world; interpretation belongs to the
+	// Config.Inputs factory (cmd/rpi-serve maps "paper", "paper-N",
+	// "tiny" and "world").
 	Profile string `json:"profile,omitempty"`
 }
 
@@ -112,14 +114,17 @@ type tenant struct {
 	dir  string
 
 	mu      sync.Mutex
-	guard   *supervisor.Guard // nil while cold
-	leases  int               // active leases; nonzero pins the engine
-	lastUse time.Time         // of the most recent release
+	lastUse time.Time // of the most recent release
 	deleted bool
 	purge   bool // remove the data directory once drained
 
-	opens     uint64
-	evictions uint64
+	// The fields below change only under mu but are read without it
+	// by status, so a probe never waits out an open that holds mu
+	// while the world builds.
+	guard     atomic.Pointer[supervisor.Guard] // nil while cold
+	leases    atomic.Int64                     // active leases; nonzero pins the engine
+	opens     atomic.Uint64
+	evictions atomic.Uint64
 }
 
 // Host is the tenant registry.
@@ -128,6 +133,7 @@ type Host struct {
 
 	mu      sync.Mutex
 	tenants map[string]*tenant
+	n       atomic.Int64 // len(tenants), stored under mu; read lock-free by Len
 	closed  bool
 	stop    chan struct{}
 	done    chan struct{}
@@ -169,6 +175,7 @@ func Open(cfg Config) (*Host, error) {
 	for _, sp := range specs {
 		h.tenants[sp.Name] = h.newTenant(sp)
 	}
+	h.n.Store(int64(len(h.tenants)))
 	if cfg.IdleTimeout > 0 {
 		go h.sweepLoop()
 	} else {
@@ -207,6 +214,7 @@ func (h *Host) Create(sp TenantSpec) error {
 		delete(h.tenants, sp.Name)
 		return err
 	}
+	h.n.Store(int64(len(h.tenants)))
 	h.cfg.Logger.Printf("host: tenant %q created (seed %d, profile %q)", sp.Name, sp.Seed, sp.Profile)
 	return nil
 }
@@ -224,6 +232,7 @@ func (h *Host) Delete(name string, purge bool) error {
 		return fmt.Errorf("%w: %q", ErrUnknownTenant, name)
 	}
 	delete(h.tenants, name)
+	h.n.Store(int64(len(h.tenants)))
 	err := h.saveManifestLocked()
 	h.mu.Unlock()
 	if err != nil {
@@ -233,9 +242,9 @@ func (h *Host) Delete(name string, purge bool) error {
 	t.mu.Lock()
 	t.deleted = true
 	t.purge = purge
-	drained := t.leases == 0
+	drained := t.leases.Load() == 0
 	if drained {
-		t.closeLocked("deleted")
+		h.closeLocked(t, "deleted")
 	}
 	t.mu.Unlock()
 	if drained {
@@ -267,7 +276,7 @@ func (h *Host) Lease(ctx context.Context, name string) (*Lease, error) {
 	if t.deleted {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, name)
 	}
-	if t.guard == nil {
+	if t.guard.Load() == nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -275,8 +284,8 @@ func (h *Host) Lease(ctx context.Context, name string) (*Lease, error) {
 			return nil, err
 		}
 	}
-	t.leases++
-	return &Lease{host: h, t: t, g: t.guard}, nil
+	t.leases.Add(1)
+	return &Lease{host: h, t: t, g: t.guard.Load()}, nil
 }
 
 // openLocked builds the tenant's guard and engine. Called with t.mu
@@ -299,22 +308,22 @@ func (h *Host) openLocked(t *tenant) error {
 	}
 	g := supervisor.New(supervisor.Options{Reopen: reopen, Logger: logger})
 	g.Publish(eng)
-	t.guard = g
-	t.opens++
+	t.guard.Store(g)
+	t.opens.Add(1)
 	logger.Printf("host: tenant %q open: seq %d (replayed %d) in %s",
 		t.spec.Name, info.Seq, info.Replayed, time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
-// closeLocked tears the engine down (final snapshot via Engine.Close
-// inside Guard.Close) and purges the directory if requested. Called
-// with t.mu held and t.leases == 0.
-func (t *tenant) closeLocked(why string) {
-	if t.guard != nil {
-		if err := t.guard.Close(); err != nil {
-			log.Printf("host: tenant %q close (%s): %v", t.spec.Name, why, err)
+// closeLocked tears the tenant's engine down (final snapshot via
+// Engine.Close inside Guard.Close) and purges the directory if
+// requested. Called with t.mu held and no active leases.
+func (h *Host) closeLocked(t *tenant, why string) {
+	if g := t.guard.Load(); g != nil {
+		if err := g.Close(); err != nil {
+			h.cfg.Logger.Printf("host: tenant %q close (%s): %v", t.spec.Name, why, err)
 		}
-		t.guard = nil
+		t.guard.Store(nil)
 	}
 	if t.deleted && t.purge && t.dir != "" {
 		_ = os.RemoveAll(t.dir)
@@ -353,10 +362,9 @@ func (l *Lease) Release() {
 
 	t := l.t
 	t.mu.Lock()
-	t.leases--
 	t.lastUse = time.Now()
-	if t.deleted && t.leases == 0 {
-		t.closeLocked("drained after delete")
+	if t.leases.Add(-1) == 0 && t.deleted {
+		l.host.closeLocked(t, "drained after delete")
 	}
 	t.mu.Unlock()
 }
@@ -395,12 +403,13 @@ func (h *Host) Sweep(now time.Time) int {
 	n := 0
 	for _, t := range ts {
 		t.mu.Lock()
-		if t.guard != nil && t.leases == 0 && !t.deleted && now.Sub(t.lastUse) >= h.cfg.IdleTimeout {
+		g := t.guard.Load()
+		if g != nil && t.leases.Load() == 0 && !t.deleted && now.Sub(t.lastUse) >= h.cfg.IdleTimeout {
 			// A quarantined tenant is healing in the background; let the
 			// recovery finish rather than racing its republish.
-			if !t.guard.Quarantined() {
-				t.closeLocked("idle")
-				t.evictions++
+			if !g.Quarantined() {
+				h.closeLocked(t, "idle")
+				t.evictions.Add(1)
 				n++
 				h.cfg.Logger.Printf("host: tenant %q evicted after %s idle", t.spec.Name, h.cfg.IdleTimeout)
 			}
@@ -421,14 +430,59 @@ type TenantStatus struct {
 	Leases    int    `json:"leases"`
 	Opens     uint64 `json:"opens"`
 	Evictions uint64 `json:"evictions"`
-	// Supervisor detail, present while the engine is open.
-	AckedSeq   uint64 `json:"acked_seq,omitempty"`
-	Generation uint64 `json:"generation,omitempty"`
-	Faults     uint64 `json:"faults,omitempty"`
-	Recoveries uint64 `json:"recoveries,omitempty"`
+	// Supervisor and engine detail, present while the engine is open.
+	AckedSeq             uint64 `json:"acked_seq,omitempty"`
+	Generation           uint64 `json:"generation,omitempty"`
+	Faults               uint64 `json:"faults,omitempty"`
+	Recoveries           uint64 `json:"recoveries,omitempty"`
+	ContinuityViolations uint64 `json:"continuity_violations,omitempty"`
+	// DroppedUpdates counts updates the current engine shed from slow
+	// stream subscribers.
+	DroppedUpdates uint64 `json:"dropped_updates,omitempty"`
 }
 
+// status snapshots the tenant without taking t.mu (see tenant).
+func (t *tenant) status() TenantStatus {
+	st := TenantStatus{
+		Name: t.spec.Name, Seed: t.spec.Seed, Profile: t.spec.Profile,
+		State: "cold", Leases: int(t.leases.Load()), Opens: t.opens.Load(), Evictions: t.evictions.Load(),
+	}
+	if g := t.guard.Load(); g != nil {
+		gs := g.Stats()
+		st.State = "serving"
+		if gs.Quarantined {
+			st.State = "quarantined"
+		}
+		st.AckedSeq, st.Generation = gs.AckedSeq, gs.Generation
+		st.Faults, st.Recoveries = gs.Faults, gs.Recoveries
+		st.ContinuityViolations = gs.ContinuityViolations
+		if eng := g.Engine(); eng != nil {
+			st.DroppedUpdates = eng.DroppedUpdates()
+		}
+	}
+	return st
+}
+
+// Status reports one tenant's state. It never waits on the tenant's
+// lifecycle, so it answers while the tenant's engine is still opening
+// (State "cold", Opens 0).
+func (h *Host) Status(name string) (TenantStatus, error) {
+	h.mu.Lock()
+	t, ok := h.tenants[name]
+	h.mu.Unlock()
+	if !ok {
+		return TenantStatus{}, fmt.Errorf("%w: %q", ErrUnknownTenant, name)
+	}
+	return t.status(), nil
+}
+
+// Len returns the number of registered tenants without taking the
+// registry lock: the serving plane asks it on every request.
+func (h *Host) Len() int { return int(h.n.Load()) }
+
 // Tenants lists every registered tenant's status, sorted by name.
+// The registry lock covers only the copy of the tenant list: status
+// reads each tenant without it.
 func (h *Host) Tenants() []TenantStatus {
 	h.mu.Lock()
 	ts := make([]*tenant, 0, len(h.tenants))
@@ -436,25 +490,9 @@ func (h *Host) Tenants() []TenantStatus {
 		ts = append(ts, t)
 	}
 	h.mu.Unlock()
-
-	out := make([]TenantStatus, 0, len(ts))
-	for _, t := range ts {
-		t.mu.Lock()
-		st := TenantStatus{
-			Name: t.spec.Name, Seed: t.spec.Seed, Profile: t.spec.Profile,
-			State: "cold", Leases: t.leases, Opens: t.opens, Evictions: t.evictions,
-		}
-		if t.guard != nil {
-			gs := t.guard.Stats()
-			st.State = "serving"
-			if gs.Quarantined {
-				st.State = "quarantined"
-			}
-			st.AckedSeq, st.Generation = gs.AckedSeq, gs.Generation
-			st.Faults, st.Recoveries = gs.Faults, gs.Recoveries
-		}
-		t.mu.Unlock()
-		out = append(out, st)
+	out := make([]TenantStatus, len(ts))
+	for i, t := range ts {
+		out[i] = t.status()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
@@ -483,11 +521,11 @@ func (h *Host) Close() error {
 	for _, t := range ts {
 		for {
 			t.mu.Lock()
-			if t.leases == 0 || time.Now().After(deadline) {
-				if t.leases != 0 {
-					h.cfg.Logger.Printf("host: tenant %q closing with %d leases still active", t.spec.Name, t.leases)
+			if n := t.leases.Load(); n == 0 || time.Now().After(deadline) {
+				if n != 0 {
+					h.cfg.Logger.Printf("host: tenant %q closing with %d leases still active", t.spec.Name, n)
 				}
-				t.closeLocked("host shutdown")
+				h.closeLocked(t, "host shutdown")
 				t.mu.Unlock()
 				break
 			}

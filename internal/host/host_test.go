@@ -5,12 +5,14 @@ import (
 	"errors"
 	"io"
 	"log"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"rpeer/internal/netsim"
+	"rpeer/internal/wal"
 	"rpeer/pkg/rpi"
 )
 
@@ -78,6 +80,9 @@ func TestLifecycleBasics(t *testing.T) {
 	if err := h.Create(TenantSpec{Name: "c"}); !errors.Is(err, ErrTooManyTenants) {
 		t.Fatalf("over limit: %v", err)
 	}
+	if n := h.Len(); n != 2 {
+		t.Fatalf("Len after two creates = %d", n)
+	}
 	if _, err := h.Lease(context.Background(), "nope"); !errors.Is(err, ErrUnknownTenant) {
 		t.Fatalf("unknown lease: %v", err)
 	}
@@ -111,6 +116,9 @@ func TestLifecycleBasics(t *testing.T) {
 	if err := h.Delete("a", false); !errors.Is(err, ErrUnknownTenant) {
 		t.Fatalf("double delete: %v", err)
 	}
+	if n := h.Len(); n != 1 {
+		t.Fatalf("Len after delete = %d", n)
+	}
 }
 
 // TestManifestPersistsTenants: tenants survive a host restart (cold —
@@ -137,8 +145,8 @@ func TestManifestPersistsTenants(t *testing.T) {
 
 	h2 := newHost(t, Config{Dir: dir})
 	st := h2.Tenants()
-	if len(st) != 2 || st[0].Name != "a" || st[1].Name != "b" || st[0].State != "cold" {
-		t.Fatalf("reloaded tenants: %+v", st)
+	if len(st) != 2 || st[0].Name != "a" || st[1].Name != "b" || st[0].State != "cold" || h2.Len() != 2 {
+		t.Fatalf("reloaded %d tenants: %+v", h2.Len(), st)
 	}
 	lease2, err := h2.Lease(context.Background(), "a")
 	if err != nil {
@@ -396,5 +404,90 @@ func TestQuarantineIsolation(t *testing.T) {
 	}
 	if st := h.Tenants(); st[0].Recoveries != 1 || st[1].Faults != 0 {
 		t.Fatalf("isolation accounting: %+v", st)
+	}
+}
+
+// lockedBuffer is a log sink safe to read while the host may write.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (w *lockedBuffer) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.b.Write(p)
+}
+
+func (w *lockedBuffer) String() string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.b.String()
+}
+
+// TestCloseErrorReachesLogger: a failed final checkpoint on eviction
+// is reported through Config.Logger, not the process-global logger.
+func TestCloseErrorReachesLogger(t *testing.T) {
+	fsys := wal.NewMemFS()
+	var logs lockedBuffer
+	h := newHost(t, Config{
+		IdleTimeout: time.Hour,
+		Options:     []rpi.Option{rpi.WithWALFS(fsys), rpi.WithSnapshotEvery(0)},
+		Logger:      log.New(&logs, "", 0),
+	})
+	mustCreate(t, h, "a", 1)
+	lease, err := h.Lease(context.Background(), "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lease.Guard().Apply(context.Background(), churn(t, h, lease)); err != nil {
+		t.Fatal(err)
+	}
+	lease.Release()
+
+	// The eviction's final snapshot is the next filesystem write.
+	fsys.InjectAt(1, wal.Fault{Mode: wal.FaultError})
+	if n := h.Sweep(time.Now().Add(2 * time.Hour)); n != 1 {
+		t.Fatalf("sweep evicted %d tenants, want 1", n)
+	}
+	if got := logs.String(); !strings.Contains(got, `tenant "a" close (idle)`) {
+		t.Fatalf("close error not logged through Config.Logger; log:\n%s", got)
+	}
+}
+
+// TestStatusDuringOpen: Status answers while the tenant's first open
+// is still building its world (it holds the tenant's lifecycle lock),
+// and reflects the open once it completes.
+func TestStatusDuringOpen(t *testing.T) {
+	building, release := make(chan struct{}), make(chan struct{})
+	base := tinyFactory()
+	h := newHost(t, Config{Inputs: func(sp TenantSpec) (rpi.Inputs, error) {
+		close(building)
+		<-release
+		return base(sp)
+	}})
+	mustCreate(t, h, "a", 1)
+	if _, err := h.Status("ghost"); !errors.Is(err, ErrUnknownTenant) {
+		t.Fatalf("unknown tenant: %v", err)
+	}
+
+	opened := make(chan error, 1)
+	go func() {
+		lease, err := h.Lease(context.Background(), "a")
+		if err == nil {
+			lease.Release()
+		}
+		opened <- err
+	}()
+	<-building
+	if st, err := h.Status("a"); err != nil || st.State != "cold" || st.Opens != 0 {
+		t.Fatalf("status mid-open = %+v, %v", st, err)
+	}
+	close(release)
+	if err := <-opened; err != nil {
+		t.Fatal(err)
+	}
+	if st, err := h.Status("a"); err != nil || st.State != "serving" || st.Opens != 1 {
+		t.Fatalf("status after open = %+v, %v", st, err)
 	}
 }

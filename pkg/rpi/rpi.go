@@ -381,7 +381,7 @@ func (e *Engine) resolveVPs(d Delta) (Delta, error) {
 // should either size buf for its worst-case lag or treat any gap in
 // Update.Seq as a signal to resynchronize from Snapshot(). Every shed
 // update increments the engine-wide counter behind DroppedUpdates
-// (exported as the rpi.dropped_updates expvar by cmd/rpi-serve).
+// (exported per tenant in cmd/rpi-serve's rpi.host expvar).
 //
 // The returned cancel function unregisters and closes the channel; it
 // is safe to call more than once.

@@ -1,9 +1,8 @@
 package serve
 
-// HostServer: the multi-tenant front end. One listener, one admission
-// controller, many engines — each tenant's world served under
-// /v1/t/{tenant}/... with the same handler core (and the same wire
-// bytes) as the single-tenant Server, plus tenant lifecycle endpoints:
+// HostServer: one listener, one admission controller, many engines —
+// each tenant's world served under /v1/t/{tenant}/..., plus tenant
+// lifecycle endpoints:
 //
 //	POST   /v1/tenants              create a tenant (JSON TenantSpec)
 //	GET    /v1/tenants              list tenants + live state
@@ -14,25 +13,26 @@ package serve
 //	POST   /v1/t/{tenant}/apply
 //	GET    /v1/t/{tenant}/stream    SSE verdict changes
 //
-// When built with a default tenant, the single-tenant routes
-// (/v1/infer, /v1/report/{ixp}, /v1/apply, /v1/stream) keep working as
-// aliases for it, so existing clients, the README quickstart and the
-// chaos harness run unchanged against a multi-tenant deployment.
+// When built with a default tenant, the single-world routes
+// (/v1/infer, /v1/report/{ixp}, /v1/apply, /v1/stream) alias it, so
+// clients of a one-world deployment never name a tenant.
 //
 // Admission is shared across tenants (one machine's worth of limits)
 // with per-tenant fairness on top: every request is attributed to its
-// tenant and one tenant may hold at most Admission.TenantShare of a
-// class's slots, so a hot tenant sheds before it starves its siblings.
+// tenant and, while the host holds more than one tenant, one tenant may
+// hold at most Admission.TenantShare of a class's slots, so a hot
+// tenant sheds before it starves its siblings. A lone tenant (the
+// one-world deployment) is bounded by the class gates alone.
 // Requests hold a host lease for their lifetime — a stream pins its
 // tenant's engine against idle eviction for exactly as long as the
 // subscriber is attached.
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
+	"sync/atomic"
 
 	"rpeer/internal/admission"
 	"rpeer/internal/host"
@@ -40,21 +40,30 @@ import (
 
 // HostServer is the HTTP facade over a multi-tenant engine host.
 type HostServer struct {
-	plane
+	adm *admission.Controller
+	cfg Config
+	mux *http.ServeMux
 	h   *host.Host
-	def string // default tenant for the legacy single-tenant routes; "" disables them
+	def string // default tenant for the single-world routes; "" disables them
 
 	// bes holds one backend per tenant, replaced whenever the tenant's
 	// guard changes (evict + reopen, delete + recreate).
 	bes sync.Map // string -> *backend
+
+	// panics counts handler panics absorbed by the recover middleware
+	// (read-path bugs: the engine quarantine is the guard's job).
+	panics atomic.Uint64
 }
 
-// NewHost builds the multi-tenant HTTP handler over a caller-owned
-// host. defaultTenant, when non-empty, must name a tenant that exists
-// (or will exist) in the host: the legacy single-tenant routes alias
-// to it.
+// NewHost builds the HTTP handler over a caller-owned host.
+// defaultTenant, when non-empty, must name a tenant that exists (or
+// will exist) in the host: the single-world routes and /readyz
+// follow it.
 func NewHost(h *host.Host, defaultTenant string, cfg Config) *HostServer {
-	s := &HostServer{plane: newPlane(cfg), h: h, def: defaultTenant}
+	s := &HostServer{
+		adm: admission.New(cfg.Admission), cfg: cfg.withDefaults(), mux: http.NewServeMux(),
+		h: h, def: defaultTenant,
+	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 
@@ -91,10 +100,9 @@ func (s *HostServer) Host() *host.Host { return s.h }
 // apply the request deadline, pass shared admission with per-tenant
 // fairness, take a host lease (first touch opens or recovers the
 // engine — inside the admission slot, so cold starts are bounded by
-// the class gate too), and hand the tenant's backend to the shared
-// handler core.
+// the class gate too), and hand the tenant's backend to the handler.
 func (s *HostServer) forTenant(cl admission.Class, name func(*http.Request) string, fn func(http.ResponseWriter, *http.Request, *backend)) http.HandlerFunc {
-	return s.admitTenantFn(cl, name, func(w http.ResponseWriter, r *http.Request, tn string) {
+	return s.admitted(cl, name, func(w http.ResponseWriter, r *http.Request, tn string) {
 		lease, err := s.h.Lease(r.Context(), tn)
 		if err != nil {
 			s.writeError(w, r, err)
@@ -103,25 +111,6 @@ func (s *HostServer) forTenant(cl admission.Class, name func(*http.Request) stri
 		defer lease.Release()
 		fn(w, r, s.backendFor(tn, lease))
 	})
-}
-
-// admitTenantFn is plane.admitted with the tenant resolved per request.
-func (s *HostServer) admitTenantFn(cl admission.Class, name func(*http.Request) string, h func(http.ResponseWriter, *http.Request, string)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		tn := name(r)
-		if s.cfg.RequestTimeout > 0 && cl != admission.Stream {
-			ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-			defer cancel()
-			r = r.WithContext(ctx)
-		}
-		release, err := s.adm.AdmitTenant(r.Context(), cl, tn)
-		if err != nil {
-			s.writeError(w, r, err)
-			return
-		}
-		defer release()
-		h(w, r, tn)
-	}
 }
 
 // backendFor returns the tenant's backend — guard plus report/VP
@@ -137,7 +126,7 @@ func (s *HostServer) backendFor(tn string, lease *host.Lease) *backend {
 			return be
 		}
 	}
-	be := &backend{tenant: tn, g: g}
+	be := &backend{g: g}
 	s.bes.Store(tn, be)
 	return be
 }
@@ -145,7 +134,8 @@ func (s *HostServer) backendFor(tn string, lease *host.Lease) *backend {
 // lifecycle wraps tenant-management endpoints: cheap-class admission,
 // no tenant attribution (they are control plane, not tenant traffic).
 func (s *HostServer) lifecycle(h http.HandlerFunc) http.HandlerFunc {
-	return s.admitted(admission.Cheap, "", h)
+	return s.admitted(admission.Cheap, func(*http.Request) string { return "" },
+		func(w http.ResponseWriter, r *http.Request, _ string) { h(w, r) })
 }
 
 func (s *HostServer) handleCreate(w http.ResponseWriter, r *http.Request) {
@@ -168,14 +158,12 @@ func (s *HostServer) handleList(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *HostServer) handleGet(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("tenant")
-	for _, st := range s.h.Tenants() {
-		if st.Name == name {
-			s.writeJSON(w, http.StatusOK, st)
-			return
-		}
+	st, err := s.h.Status(r.PathValue("tenant"))
+	if err != nil {
+		s.writeError(w, r, err)
+		return
 	}
-	s.writeError(w, r, fmt.Errorf("%w: %q", host.ErrUnknownTenant, name))
+	s.writeJSON(w, http.StatusOK, st)
 }
 
 func (s *HostServer) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -194,12 +182,34 @@ func (s *HostServer) handleDelete(w http.ResponseWriter, r *http.Request) {
 
 // handleHealthz: host-level liveness — the process and registry are up.
 func (s *HostServer) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	s.writeJSON(w, http.StatusOK, map[string]any{"ok": true, "tenants": len(s.h.Tenants())})
+	s.writeJSON(w, http.StatusOK, map[string]any{"ok": true, "tenants": s.h.Len()})
 }
 
-// handleReadyz: a host is ready as soon as the registry is loaded —
-// engines open lazily per tenant, and per-tenant health is what
-// GET /v1/tenants reports.
+// handleReadyz reports the default tenant's readiness: 503 until its
+// first open completes, 503 + Retry-After while it is quarantined, 200
+// otherwise (with its seq while its engine is open). Without a default tenant the host is ready
+// once the registry is loaded — engines open lazily per tenant, and
+// per-tenant health is what GET /v1/tenants reports.
 func (s *HostServer) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	s.writeJSON(w, http.StatusOK, map[string]any{"ready": true, "tenants": len(s.h.Tenants())})
+	if s.def == "" {
+		s.writeJSON(w, http.StatusOK, map[string]any{"ready": true, "tenants": s.h.Len()})
+		return
+	}
+	st, err := s.h.Status(s.def)
+	switch {
+	case err != nil || st.Opens == 0:
+		s.writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false})
+	case st.State == "quarantined":
+		// Healing: stop routing new traffic here, but requests that do
+		// arrive are answered from the last good snapshot.
+		w.Header().Set("Retry-After", "1")
+		s.writeJSON(w, http.StatusServiceUnavailable,
+			map[string]any{"ready": false, "quarantined": true})
+	default:
+		body := map[string]any{"ready": true}
+		if st.State == "serving" { // an idle-evicted tenant has no live seq
+			body["seq"] = st.AckedSeq
+		}
+		s.writeJSON(w, http.StatusOK, body)
+	}
 }

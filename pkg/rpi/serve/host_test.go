@@ -16,6 +16,7 @@ import (
 	"rpeer/internal/admission"
 	"rpeer/internal/host"
 	"rpeer/internal/netsim"
+	"rpeer/internal/wal"
 	"rpeer/pkg/rpi"
 )
 
@@ -29,15 +30,25 @@ func tinyHostInputs(sp host.TenantSpec) (rpi.Inputs, error) {
 	return rpi.InputsFromConfig(cfg, sp.Seed)
 }
 
-func testHost(t *testing.T, cfg Config, defaultTenant string, specs ...host.TenantSpec) (*host.Host, *HostServer, *httptest.Server) {
+// testHost serves specs through a host. Zero fields of hc take test
+// defaults: a temp data directory, tiny worlds, a silent logger, and an
+// hour's idle timeout (sweeps happen only when a test forces them).
+func testHost(t *testing.T, hc host.Config, cfg Config, defaultTenant string, specs ...host.TenantSpec) (*host.Host, *HostServer, *httptest.Server) {
 	t.Helper()
 	quiet := log.New(io.Discard, "", 0)
-	h, err := host.Open(host.Config{
-		Dir:         t.TempDir(),
-		Inputs:      tinyHostInputs,
-		IdleTimeout: time.Hour, // sweeps only when a test forces them
-		Logger:      quiet,
-	})
+	if hc.Dir == "" {
+		hc.Dir = t.TempDir()
+	}
+	if hc.Inputs == nil {
+		hc.Inputs = tinyHostInputs
+	}
+	if hc.IdleTimeout == 0 {
+		hc.IdleTimeout = time.Hour
+	}
+	if hc.Logger == nil {
+		hc.Logger = quiet
+	}
+	h, err := host.Open(hc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,16 +90,23 @@ func postJSON(t *testing.T, url string, v any, wantStatus int) []byte {
 // bytes); an apply (seq bump) or an engine swap (generation bump)
 // invalidates it and the served bytes track the live report exactly.
 func TestInferReportCache(t *testing.T) {
-	eng, err := rpi.New(testInputs(t))
-	if err != nil {
-		t.Fatal(err)
+	in := testInputs(t)
+	h, s, srv := testHost(t, host.Config{
+		Inputs:  func(host.TenantSpec) (rpi.Inputs, error) { return in, nil },
+		Options: []rpi.Option{rpi.WithWALFS(wal.NewMemFS())},
+	}, Config{}, "default", host.TenantSpec{Name: "default"})
+	g := guardOf(t, h, "default")
+	eng := g.Engine()
+	cache := func() *cachedReport {
+		v, ok := s.bes.Load("default")
+		if !ok {
+			t.Fatal("no backend for the default tenant")
+		}
+		return v.(*backend).rep.Load()
 	}
-	s := New(eng)
-	srv := httptest.NewServer(s)
-	t.Cleanup(srv.Close)
 
 	b1 := get(t, srv.URL+"/v1/infer", http.StatusOK)
-	c1 := s.be.rep.Load()
+	c1 := cache()
 	if c1 == nil || c1.seq != 0 {
 		t.Fatalf("cache after first read: %+v", c1)
 	}
@@ -96,12 +114,12 @@ func TestInferReportCache(t *testing.T) {
 	if !bytes.Equal(b1, b2) {
 		t.Fatal("repeated reads at one publication differ")
 	}
-	if s.be.rep.Load() != c1 {
+	if cache() != c1 {
 		t.Fatal("second read re-marshaled instead of hitting the cache")
 	}
 
 	// Seq bump: the cache must follow the applied delta.
-	postApply(t, srv.URL, wireChurn(rpi.ChurnDelta(eng.Inputs(), 0.005, 11)), http.StatusOK)
+	postApply(t, srv.URL, mustWire(t, rpi.ChurnDelta(eng.Inputs(), 0.005, 11)), http.StatusOK)
 	b3 := get(t, srv.URL+"/v1/infer", http.StatusOK)
 	want, err := rpi.MarshalReport(eng.Snapshot())
 	if err != nil {
@@ -110,11 +128,12 @@ func TestInferReportCache(t *testing.T) {
 	if !bytes.Equal(b3, want) {
 		t.Fatal("post-apply read served stale cached bytes")
 	}
-	if c3 := s.be.rep.Load(); c3.seq != 1 {
+	if c3 := cache(); c3.seq != 1 {
 		t.Fatalf("cache seq = %d, want 1", c3.seq)
 	}
 
-	// Generation bump: swapping the engine must not serve the old world.
+	// Generation bump: swapping the engine under the tenant's guard
+	// must not serve the old world.
 	in2, err := rpi.InputsFromConfig(netsim.TinyConfig(), 99)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +142,10 @@ func TestInferReportCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetEngine(eng2)
+	g.Publish(eng2)
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
 	b4 := get(t, srv.URL+"/v1/infer", http.StatusOK)
 	want2, err := rpi.MarshalReport(eng2.Snapshot())
 	if err != nil {
@@ -135,7 +157,7 @@ func TestInferReportCache(t *testing.T) {
 }
 
 func TestHostTenantLifecycleHTTP(t *testing.T) {
-	_, _, srv := testHost(t, Config{}, "")
+	_, _, srv := testHost(t, host.Config{}, Config{}, "")
 
 	postJSON(t, srv.URL+"/v1/tenants", host.TenantSpec{Name: "a", Seed: 1}, http.StatusCreated)
 	postJSON(t, srv.URL+"/v1/tenants", host.TenantSpec{Name: "a", Seed: 1}, http.StatusConflict)
@@ -179,11 +201,12 @@ func TestHostTenantLifecycleHTTP(t *testing.T) {
 }
 
 // TestHostByteIdentity is the acceptance check: a tenant served
-// through the host answers byte-identical /v1 reports to a
-// single-engine server over the same inputs and the same deltas —
-// multi-tenancy changes routing, never results.
+// through the host answers /v1 report bytes identical to
+// rpi.MarshalReport of a cold standalone engine over the same inputs,
+// and still does after both apply the same delta — multi-tenancy
+// changes routing, never results.
 func TestHostByteIdentity(t *testing.T) {
-	_, _, srv := testHost(t, Config{}, "", host.TenantSpec{Name: "a", Seed: 3})
+	_, _, srv := testHost(t, host.Config{}, Config{}, "", host.TenantSpec{Name: "a", Seed: 3})
 
 	in, err := tinyHostInputs(host.TenantSpec{Name: "a", Seed: 3})
 	if err != nil {
@@ -193,15 +216,25 @@ func TestHostByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ssrv := httptest.NewServer(New(single))
-	t.Cleanup(ssrv.Close)
+	cold, err := rpi.MarshalReport(single.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(get(t, srv.URL+"/v1/t/a/infer", http.StatusOK), cold) {
+		t.Fatal("host report differs from a cold engine over the same inputs")
+	}
 
-	wd := wireChurn(rpi.ChurnDelta(in, 0.02, 9))
-	postJSON(t, srv.URL+"/v1/t/a/apply", wd, http.StatusOK)
-	postJSON(t, ssrv.URL+"/v1/apply", wd, http.StatusOK)
+	d := rpi.ChurnDelta(in, 0.02, 9)
+	postJSON(t, srv.URL+"/v1/t/a/apply", mustWire(t, d), http.StatusOK)
+	if _, err := single.Apply(context.Background(), d); err != nil {
+		t.Fatal(err)
+	}
 
 	hostBytes := get(t, srv.URL+"/v1/t/a/infer", http.StatusOK)
-	singleBytes := get(t, ssrv.URL+"/v1/infer", http.StatusOK)
+	singleBytes, err := rpi.MarshalReport(single.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(hostBytes, singleBytes) {
 		t.Fatalf("host and single-engine reports differ (%d vs %d bytes)", len(hostBytes), len(singleBytes))
 	}
@@ -211,10 +244,10 @@ func TestHostByteIdentity(t *testing.T) {
 	}
 }
 
-// TestHostLegacyAliases: with a default tenant, the original
-// single-tenant routes keep working and answer that tenant's bytes.
+// TestHostLegacyAliases: with a default tenant, the single-world
+// routes answer that tenant's bytes.
 func TestHostLegacyAliases(t *testing.T) {
-	h, _, srv := testHost(t, Config{}, "default",
+	h, _, srv := testHost(t, host.Config{}, Config{}, "default",
 		host.TenantSpec{Name: "default", Seed: 1}, host.TenantSpec{Name: "other", Seed: 2})
 
 	legacy := get(t, srv.URL+"/v1/infer", http.StatusOK)
@@ -233,7 +266,7 @@ func TestHostLegacyAliases(t *testing.T) {
 	}
 	in := lease.Guard().Engine().Inputs()
 	lease.Release()
-	postJSON(t, srv.URL+"/v1/apply", wireChurn(rpi.ChurnDelta(in, 0.01, 4)), http.StatusOK)
+	postJSON(t, srv.URL+"/v1/apply", mustWire(t, rpi.ChurnDelta(in, 0.01, 4)), http.StatusOK)
 	var st host.TenantStatus
 	if err := json.Unmarshal(get(t, srv.URL+"/v1/tenants/default", http.StatusOK), &st); err != nil {
 		t.Fatal(err)
@@ -248,7 +281,7 @@ func TestHostLegacyAliases(t *testing.T) {
 // serves the same bytes (stale cross-guard cache hits are impossible —
 // backends key on the guard pointer).
 func TestHostCacheSurvivesEviction(t *testing.T) {
-	h, _, srv := testHost(t, Config{}, "", host.TenantSpec{Name: "a", Seed: 5})
+	h, _, srv := testHost(t, host.Config{}, Config{}, "", host.TenantSpec{Name: "a", Seed: 5})
 
 	lease, err := h.Lease(context.Background(), "a")
 	if err != nil {
@@ -256,7 +289,7 @@ func TestHostCacheSurvivesEviction(t *testing.T) {
 	}
 	in := lease.Guard().Engine().Inputs()
 	lease.Release()
-	postJSON(t, srv.URL+"/v1/t/a/apply", wireChurn(rpi.ChurnDelta(in, 0.02, 6)), http.StatusOK)
+	postJSON(t, srv.URL+"/v1/t/a/apply", mustWire(t, rpi.ChurnDelta(in, 0.02, 6)), http.StatusOK)
 	before := get(t, srv.URL+"/v1/t/a/infer", http.StatusOK)
 
 	if n := h.Sweep(time.Now().Add(2 * time.Hour)); n != 1 {
@@ -279,7 +312,7 @@ func TestHostCacheSurvivesEviction(t *testing.T) {
 // attributed per tenant, and one tenant at its fair-share cap is shed
 // while a sibling still gets in.
 func TestHostPerTenantAdmission(t *testing.T) {
-	_, hs, srv := testHost(t, Config{
+	_, hs, srv := testHost(t, host.Config{}, Config{
 		Admission: admission.Config{
 			Read:        admission.Limits{Slots: 2, Queue: 0, MaxWait: time.Millisecond},
 			TenantShare: 0.5,
@@ -318,7 +351,7 @@ func TestHostPerTenantAdmission(t *testing.T) {
 // — eviction skips the tenant for as long as the stream is attached,
 // and streamed updates carry applies routed through the tenant path.
 func TestHostStreamPinsTenant(t *testing.T) {
-	h, _, srv := testHost(t, Config{}, "", host.TenantSpec{Name: "a", Seed: 1})
+	h, _, srv := testHost(t, host.Config{}, Config{}, "", host.TenantSpec{Name: "a", Seed: 1})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -356,7 +389,7 @@ func TestHostStreamPinsTenant(t *testing.T) {
 	}
 	in := lease.Guard().Engine().Inputs()
 	lease.Release()
-	postJSON(t, srv.URL+"/v1/t/a/apply", wireChurn(rpi.ChurnDelta(in, 0.01, 8)), http.StatusOK)
+	postJSON(t, srv.URL+"/v1/t/a/apply", mustWire(t, rpi.ChurnDelta(in, 0.01, 8)), http.StatusOK)
 	if ev := readEvent(); ev != "updates" {
 		t.Fatalf("after apply: event %q, want updates", ev)
 	}

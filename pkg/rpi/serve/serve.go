@@ -1,21 +1,15 @@
-// Package serve exposes rpi engines over HTTP/JSON: the
-// traffic-serving front end of the inference system (cmd/rpi-serve is
-// the binary). All responses use the versioned /v1 wire schema of
-// package rpi.
+// Package serve exposes a multi-tenant engine host (internal/host)
+// over HTTP/JSON: the traffic-serving front end of the inference
+// system (cmd/rpi-serve is the binary). All responses use the
+// versioned /v1 wire schema of package rpi.
 //
-// Two front ends share one handler core:
+// Each tenant's engine is served under /v1/t/{tenant}/... (host.go
+// lists the routes, including tenant lifecycle). A HostServer built
+// with a default tenant also answers the single-world routes as
+// aliases for that tenant:
 //
-//   - Server wraps a single supervised engine (the original
-//     single-tenant plane);
-//   - HostServer (host.go) wraps an internal/host multi-engine host —
-//     one engine per tenant behind /v1/t/{tenant}/..., with tenant
-//     lifecycle endpoints and the legacy single-tenant routes aliased
-//     to a default tenant.
-//
-// Single-tenant endpoints:
-//
-//	GET  /healthz          liveness + delta sequence number
-//	GET  /readyz           readiness: 200 once the engine is built/recovered
+//	GET  /healthz          liveness
+//	GET  /readyz           readiness of the default tenant
 //	GET  /v1/infer         full wire report (current snapshot)
 //	GET  /v1/report/{ixp}  one IXP's wire report
 //	POST /v1/apply         apply a world delta, returns the verdict changes
@@ -23,8 +17,8 @@
 //
 // Liveness and readiness are distinct probes: /healthz answers 200 as
 // soon as the listener is up (the process is alive — don't kill it),
-// while /readyz answers 503 until the engine has finished building or
-// recovering from its data directory, and again while a quarantined
+// while /readyz answers 503 until the default tenant's engine has
+// finished its first build or recovery, and again while a quarantined
 // engine is healing (don't route traffic yet — though reads that do
 // arrive are still served from the last good snapshot).
 //
@@ -32,16 +26,16 @@
 // passes through per-class admission control (internal/admission) and
 // answers 503 + Retry-After instead of queueing unboundedly; request
 // deadlines propagate into the engine (a caller that gives up stops
-// costing anything); and the engine sits behind a supervisor.Guard, so
-// a panic escaping Apply quarantines the engine (reads keep serving,
-// writes answer 503) while a background re-Open heals it from the
-// write-ahead log.
+// costing anything); and each engine sits behind a supervisor.Guard,
+// so a panic escaping Apply quarantines that engine (reads keep
+// serving, writes answer 503) while a background re-Open heals it from
+// the write-ahead log.
 //
 // Full-report reads are served from a per-publication byte cache: the
 // wire report is marshaled once per (guard generation, delta seq) and
-// every further GET /v1/infer at that publication is a buffer write,
-// not a re-marshal — under heavy read load the hot path does no
-// allocation proportional to the world.
+// every further full read at that publication is a buffer write, not a
+// re-marshal — under heavy read load the hot path does no allocation
+// proportional to the world.
 package serve
 
 import (
@@ -76,7 +70,7 @@ const StatusClientClosedRequest = 499
 type Config struct {
 	// Admission bounds per-class concurrency; zero-valued classes take
 	// admission.DefaultConfig. Admission.TenantShare bounds one
-	// tenant's share of each class on a HostServer.
+	// tenant's share of each class.
 	Admission admission.Config
 	// RequestTimeout caps the end-to-end time of non-streaming requests
 	// (queue wait + engine work + marshal). Zero means no cap.
@@ -89,7 +83,7 @@ type Config struct {
 	StreamHeartbeat time.Duration
 	// StreamBuffer is the per-subscriber update buffer; a consumer that
 	// falls further behind has its oldest updates shed by the engine
-	// (rpi.dropped_updates counts them).
+	// (the tenant status's dropped_updates counts them).
 	StreamBuffer int
 	// Logger receives handler panics and client-gone notices (default
 	// log.Default()).
@@ -112,14 +106,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// backend is one supervised engine as the handler core sees it: the
-// guard plus the per-publication caches that make repeated reads
-// cheap. The single-tenant Server owns exactly one; the HostServer
-// keeps one per tenant (reset when a tenant's guard is replaced after
-// idle eviction).
+// backend is one tenant's supervised engine as the handlers see it:
+// the guard plus the per-publication caches that make repeated reads
+// cheap. The HostServer keeps one per tenant, replaced when the
+// tenant's guard is (idle eviction, delete and recreate).
 type backend struct {
-	tenant string // "" on the single-tenant plane
-	g      *supervisor.Guard
+	g *supervisor.Guard
 
 	// vps caches the VP index of the current engine publication (see
 	// vpIndex); rebuilt only when the supervisor swaps engines.
@@ -136,88 +128,11 @@ type cachedReport struct {
 	body     []byte
 }
 
-// plane is the handler core shared by the single-tenant Server and the
-// multi-tenant HostServer: admission, config, panic net, and the
-// per-backend endpoint logic.
-type plane struct {
-	adm *admission.Controller
-	cfg Config
-	mux *http.ServeMux
-
-	// panics counts handler panics absorbed by the recover middleware
-	// (read-path bugs: the engine quarantine is the guard's job).
-	panics atomic.Uint64
-}
-
-func newPlane(cfg Config) plane {
-	return plane{adm: admission.New(cfg.Admission), cfg: cfg.withDefaults(), mux: http.NewServeMux()}
-}
-
-// Server is the HTTP facade over one supervised engine. Queries run
-// under the engine's read lock and scale across connections; applies
-// serialize behind its write lock; all of it is bounded by admission
-// control and survives engine faults via the supervisor.
-type Server struct {
-	plane
-	be backend
-}
-
-// New builds the HTTP handler over a shared engine, ready immediately.
-// The engine is wrapped in a supervisor without a reopen path: a fault
-// quarantines it permanently (reads keep serving). Binaries that want
-// self-healing build the guard themselves and use NewSupervised.
-func New(eng *rpi.Engine) *Server {
-	s := NewPending()
-	s.SetEngine(eng)
-	return s
-}
-
-// NewPending builds the HTTP handler with no engine yet: /healthz
-// reports alive, /readyz and every /v1 endpoint answer 503 until
-// SetEngine. This is how a binary can bind its port before recovery
-// so that orchestrators see liveness during a long replay.
-func NewPending() *Server {
-	return NewSupervised(supervisor.New(supervisor.Options{}), Config{})
-}
-
-// NewSupervised builds the HTTP handler over a caller-owned supervisor
-// guard — the full-fat constructor: the guard brings quarantine and
-// self-healing, cfg brings admission limits and deadlines.
-func NewSupervised(g *supervisor.Guard, cfg Config) *Server {
-	s := &Server{plane: newPlane(cfg), be: backend{g: g}}
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
-	s.mux.HandleFunc("GET /v1/infer", s.admitted(admission.Read, "", func(w http.ResponseWriter, r *http.Request) {
-		s.infer(w, r, &s.be)
-	}))
-	s.mux.HandleFunc("GET /v1/report/{ixp}", s.admitted(admission.Cheap, "", func(w http.ResponseWriter, r *http.Request) {
-		s.report(w, r, &s.be, r.PathValue("ixp"))
-	}))
-	s.mux.HandleFunc("POST /v1/apply", s.admitted(admission.Write, "", func(w http.ResponseWriter, r *http.Request) {
-		s.apply(w, r, &s.be)
-	}))
-	s.mux.HandleFunc("GET /v1/stream", s.admitted(admission.Stream, "", func(w http.ResponseWriter, r *http.Request) {
-		s.stream(w, r, &s.be)
-	}))
-	return s
-}
-
-// SetEngine publishes the engine and flips the server ready. Safe to
-// call from the recovery goroutine while requests are being served.
-func (s *Server) SetEngine(eng *rpi.Engine) { s.be.g.Publish(eng) }
-
-// Ready reports whether an engine is published and writable.
-func (s *Server) Ready() bool { return s.be.g.Ready() }
-
-// Guard exposes the supervisor for binaries that wire recovery or
-// publish its stats.
-func (s *Server) Guard() *supervisor.Guard { return s.be.g }
-
 // Admission exposes the admission controller (expvar publication).
-func (p *plane) Admission() *admission.Controller { return p.adm }
+func (s *HostServer) Admission() *admission.Controller { return s.adm }
 
 // HandlerPanics returns the number of handler panics absorbed so far.
-func (p *plane) HandlerPanics() uint64 { return p.panics.Load() }
+func (s *HostServer) HandlerPanics() uint64 { return s.panics.Load() }
 
 // respWriter tracks whether the response has been committed, so the
 // panic middleware knows if a 500 can still be sent, and unreachable
@@ -242,7 +157,7 @@ func (rw *respWriter) Unwrap() http.ResponseWriter { return rw.ResponseWriter }
 
 // ServeHTTP implements http.Handler: no-store headers (every response
 // reflects live, churning state), then the panic net, then the mux.
-func (p *plane) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+func (s *HostServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rw := &respWriter{ResponseWriter: w}
 	rw.Header().Set("Cache-Control", "no-store")
 	defer func() {
@@ -250,74 +165,53 @@ func (p *plane) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			if rec == http.ErrAbortHandler { //nolint:errorlint // sentinel by identity, per net/http docs
 				panic(rec)
 			}
-			p.panics.Add(1)
-			p.cfg.Logger.Printf("serve: panic in %s %s: %v", r.Method, r.URL.Path, rec)
+			s.panics.Add(1)
+			s.cfg.Logger.Printf("serve: panic in %s %s: %v", r.Method, r.URL.Path, rec)
 			if !rw.wroteHeader {
 				http.Error(rw, "internal error", http.StatusInternalServerError)
 			}
 		}
 	}()
-	p.mux.ServeHTTP(rw, r)
+	s.mux.ServeHTTP(rw, r)
 }
 
 // admitted wraps a handler in admission control and the request
 // deadline: the slot is held for the handler's whole run, and the
 // request context carries the configured timeout so the deadline
 // reaches the engine (streams are exempt from the timeout — they are
-// supposed to be long-lived). A non-empty tenant attributes the
-// request and applies the per-tenant fairness cap.
-func (p *plane) admitted(cl admission.Class, tenant string, h http.HandlerFunc) http.HandlerFunc {
+// supposed to be long-lived). tenant names the request's tenant, which
+// attributes it ("" for control-plane requests); h receives the
+// resolved name. The per-tenant fairness cap applies only while the
+// host holds more than one tenant: a lone tenant has no sibling to
+// leave headroom for, so it keeps each class's full slots and queue.
+func (s *HostServer) admitted(cl admission.Class, tenant func(*http.Request) string, h func(http.ResponseWriter, *http.Request, string)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if p.cfg.RequestTimeout > 0 && cl != admission.Stream {
-			ctx, cancel := context.WithTimeout(r.Context(), p.cfg.RequestTimeout)
+		tn := tenant(r)
+		if s.cfg.RequestTimeout > 0 && cl != admission.Stream {
+			ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 			defer cancel()
 			r = r.WithContext(ctx)
 		}
-		release, err := p.adm.AdmitTenant(r.Context(), cl, tenant)
+		admit := s.adm.AdmitTenant
+		if s.h.Len() <= 1 {
+			admit = s.adm.AdmitSoleTenant
+		}
+		release, err := admit(r.Context(), cl, tn)
 		if err != nil {
-			p.writeError(w, r, err)
+			s.writeError(w, r, err)
 			return
 		}
 		defer release()
-		h(w, r)
-	}
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	body := map[string]any{"ok": true}
-	if eng := s.be.g.Engine(); eng != nil {
-		body["seq"] = eng.Seq()
-	} else {
-		body["recovering"] = true
-	}
-	if s.be.g.Quarantined() {
-		body["quarantined"] = true
-	}
-	s.writeJSON(w, http.StatusOK, body)
-}
-
-func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	eng := s.be.g.Engine()
-	switch {
-	case eng == nil:
-		s.writeJSON(w, http.StatusServiceUnavailable, map[string]any{"ready": false})
-	case s.be.g.Quarantined():
-		// Healing: stop routing new traffic here, but requests that do
-		// arrive are answered from the last good snapshot.
-		w.Header().Set("Retry-After", "1")
-		s.writeJSON(w, http.StatusServiceUnavailable,
-			map[string]any{"ready": false, "quarantined": true})
-	default:
-		s.writeJSON(w, http.StatusOK, map[string]any{"ready": true, "seq": eng.Seq()})
+		h(w, r, tn)
 	}
 }
 
 // infer serves the full wire report, from the backend's byte cache
 // when the publication has not moved since the last marshal.
-func (p *plane) infer(w http.ResponseWriter, r *http.Request, be *backend) {
+func (s *HostServer) infer(w http.ResponseWriter, r *http.Request, be *backend) {
 	rep, gen, seq, err := be.g.Published()
 	if err != nil {
-		p.writeError(w, r, err)
+		s.writeError(w, r, err)
 		return
 	}
 	if c := be.rep.Load(); c != nil && c.gen == gen && c.seq == seq {
@@ -327,7 +221,7 @@ func (p *plane) infer(w http.ResponseWriter, r *http.Request, be *backend) {
 	}
 	b, err := rpi.MarshalReportCtx(r.Context(), rep)
 	if err != nil {
-		p.writeError(w, r, err)
+		s.writeError(w, r, err)
 		return
 	}
 	// Concurrent misses marshal the same publication to identical
@@ -337,13 +231,13 @@ func (p *plane) infer(w http.ResponseWriter, r *http.Request, be *backend) {
 	_, _ = w.Write(b)
 }
 
-func (p *plane) report(w http.ResponseWriter, r *http.Request, be *backend, ixp string) {
+func (s *HostServer) report(w http.ResponseWriter, r *http.Request, be *backend, ixp string) {
 	rep, err := be.g.ReportFor(r.Context(), ixp)
 	if err != nil {
-		p.writeError(w, r, err)
+		s.writeError(w, r, err)
 		return
 	}
-	p.writeReport(w, r, rep)
+	s.writeReport(w, r, rep)
 }
 
 // WireDelta is the JSON body of POST /v1/apply.
@@ -378,10 +272,30 @@ type WireRTT struct {
 	Drop     bool    `json:"drop,omitempty"`
 }
 
-func (p *plane) apply(w http.ResponseWriter, r *http.Request, be *backend) {
+// NewWireDelta renders a delta's joins and leaves as the POST
+// /v1/apply body. A delta with Ping overrides is refused: an override
+// holds two rounding flags where WireRTT carries one, so encoding it
+// could change what the delta means.
+func NewWireDelta(d rpi.Delta) (WireDelta, error) {
+	var wd WireDelta
+	if len(d.Ping) > 0 {
+		return wd, fmt.Errorf("serve: %d ping overrides have no wire encoding", len(d.Ping))
+	}
+	for _, j := range d.Joins {
+		wd.Joins = append(wd.Joins, WireJoin{
+			IXP: j.IXP, Iface: j.Iface.String(), ASN: uint32(j.ASN), PortMbps: j.PortMbps,
+		})
+	}
+	for _, l := range d.Leaves {
+		wd.Leaves = append(wd.Leaves, WireKey{IXP: l.IXP, Iface: l.Iface.String()})
+	}
+	return wd, nil
+}
+
+func (s *HostServer) apply(w http.ResponseWriter, r *http.Request, be *backend) {
 	eng := be.g.Engine()
 	if eng == nil {
-		p.writeError(w, r, supervisor.ErrNoEngine)
+		s.writeError(w, r, supervisor.ErrNoEngine)
 		return
 	}
 	var wd WireDelta
@@ -401,10 +315,10 @@ func (p *plane) apply(w http.ResponseWriter, r *http.Request, be *backend) {
 	}
 	up, err := be.g.Apply(r.Context(), d)
 	if err != nil {
-		p.writeError(w, r, err)
+		s.writeError(w, r, err)
 		return
 	}
-	p.writeJSON(w, http.StatusOK, up)
+	s.writeJSON(w, http.StatusOK, up)
 }
 
 // vpCache is the vantage-point index of one engine publication. The VP
@@ -506,24 +420,24 @@ type streamEvent struct {
 // blocks on a stalled consumer). An engine swap (quarantine recovery)
 // closes the stream with a "reset" event: resynchronize from /v1/infer
 // and resubscribe.
-func (p *plane) stream(w http.ResponseWriter, r *http.Request, be *backend) {
+func (s *HostServer) stream(w http.ResponseWriter, r *http.Request, be *backend) {
 	eng := be.g.Engine()
 	if eng == nil {
-		p.writeError(w, r, supervisor.ErrNoEngine)
+		s.writeError(w, r, supervisor.ErrNoEngine)
 		return
 	}
 	gen := be.g.Generation()
-	updates, cancel := eng.Subscribe(p.cfg.StreamBuffer)
+	updates, cancel := eng.Subscribe(s.cfg.StreamBuffer)
 	defer cancel()
 
 	rc := http.NewResponseController(w)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.WriteHeader(http.StatusOK)
-	if err := p.sseWrite(rc, w, "hello", streamEvent{Seq: eng.Seq(), Generation: gen}); err != nil {
+	if err := s.sseWrite(rc, w, "hello", streamEvent{Seq: eng.Seq(), Generation: gen}); err != nil {
 		return
 	}
 
-	heartbeat := time.NewTicker(p.cfg.StreamHeartbeat)
+	heartbeat := time.NewTicker(s.cfg.StreamHeartbeat)
 	defer heartbeat.Stop()
 	for {
 		select {
@@ -532,7 +446,7 @@ func (p *plane) stream(w http.ResponseWriter, r *http.Request, be *backend) {
 		case <-heartbeat.C:
 			// A comment line: keeps NATs and proxies from reaping the
 			// connection, and detects dead clients on idle streams.
-			_ = rc.SetWriteDeadline(time.Now().Add(p.cfg.StreamWriteTimeout))
+			_ = rc.SetWriteDeadline(time.Now().Add(s.cfg.StreamWriteTimeout))
 			if _, err := io.WriteString(w, ": keep-alive\n\n"); err != nil {
 				return
 			}
@@ -542,7 +456,7 @@ func (p *plane) stream(w http.ResponseWriter, r *http.Request, be *backend) {
 		case up, ok := <-updates:
 			if !ok {
 				// Engine closed or quarantined underneath us.
-				_ = p.sseWrite(rc, w, "reset", streamEvent{Generation: be.g.Generation()})
+				_ = s.sseWrite(rc, w, "reset", streamEvent{Generation: be.g.Generation()})
 				return
 			}
 			batch := []rpi.Update{up}
@@ -560,11 +474,11 @@ func (p *plane) stream(w http.ResponseWriter, r *http.Request, be *backend) {
 					break coalesce
 				}
 			}
-			if err := p.sseWrite(rc, w, "updates", batch); err != nil {
+			if err := s.sseWrite(rc, w, "updates", batch); err != nil {
 				return
 			}
 			if closed {
-				_ = p.sseWrite(rc, w, "reset", streamEvent{Generation: be.g.Generation()})
+				_ = s.sseWrite(rc, w, "reset", streamEvent{Generation: be.g.Generation()})
 				return
 			}
 		}
@@ -572,29 +486,29 @@ func (p *plane) stream(w http.ResponseWriter, r *http.Request, be *backend) {
 }
 
 // sseWrite emits one SSE event under the stream write deadline.
-func (p *plane) sseWrite(rc *http.ResponseController, w http.ResponseWriter, event string, v any) error {
+func (s *HostServer) sseWrite(rc *http.ResponseController, w http.ResponseWriter, event string, v any) error {
 	b, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
-	_ = rc.SetWriteDeadline(time.Now().Add(p.cfg.StreamWriteTimeout))
+	_ = rc.SetWriteDeadline(time.Now().Add(s.cfg.StreamWriteTimeout))
 	if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, b); err != nil {
 		return err
 	}
 	return rc.Flush()
 }
 
-func (p *plane) writeReport(w http.ResponseWriter, r *http.Request, rep *rpi.Report) {
+func (s *HostServer) writeReport(w http.ResponseWriter, r *http.Request, rep *rpi.Report) {
 	b, err := rpi.MarshalReportCtx(r.Context(), rep)
 	if err != nil {
-		p.writeError(w, r, err)
+		s.writeError(w, r, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(b)
 }
 
-func (p *plane) writeJSON(w http.ResponseWriter, status int, v any) {
+func (s *HostServer) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
@@ -604,12 +518,12 @@ func (p *plane) writeJSON(w http.ResponseWriter, status int, v any) {
 // statuses. Cancellation is special-cased: when the caller is already
 // gone there is nobody to answer, so it is logged and recorded as the
 // 499 convention instead of surfacing as a fake 500.
-func (p *plane) writeError(w http.ResponseWriter, r *http.Request, err error) {
+func (s *HostServer) writeError(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
 	case errors.Is(err, rpi.ErrCanceled),
 		errors.Is(err, context.Canceled),
 		errors.Is(err, context.DeadlineExceeded):
-		p.cfg.Logger.Printf("serve: %s %s abandoned: %v", r.Method, r.URL.Path, err)
+		s.cfg.Logger.Printf("serve: %s %s abandoned: %v", r.Method, r.URL.Path, err)
 		w.WriteHeader(StatusClientClosedRequest)
 		return
 	}

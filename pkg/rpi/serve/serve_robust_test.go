@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"rpeer/internal/admission"
+	"rpeer/internal/host"
 	"rpeer/internal/netsim"
 	"rpeer/internal/supervisor"
 	"rpeer/internal/wal"
@@ -46,11 +47,11 @@ func tinyInputs(t testing.TB) rpi.Inputs {
 }
 
 // supervisedServer is a self-healing serving plane over a fault-
-// injectable persistent engine: the full production wiring, in-process.
+// injectable persistent engine: the full production wiring, in-process,
+// with the tiny world as the default tenant.
 type supervisedServer struct {
-	fsys  *wal.MemFS
 	g     *supervisor.Guard
-	s     *Server
+	s     *HostServer
 	srv   *httptest.Server
 	armed atomic.Bool
 }
@@ -58,44 +59,27 @@ type supervisedServer struct {
 func newSupervisedServer(t *testing.T, cfg Config) *supervisedServer {
 	t.Helper()
 	in := tinyInputs(t)
-	h := &supervisedServer{fsys: wal.NewMemFS()}
-	open := func() (*rpi.Engine, *rpi.RecoveryInfo, error) {
-		return rpi.Open("data", in,
-			rpi.WithWALFS(h.fsys),
+	ss := &supervisedServer{}
+	h, s, srv := testHost(t, host.Config{
+		Inputs: func(host.TenantSpec) (rpi.Inputs, error) { return in, nil },
+		Options: []rpi.Option{
+			rpi.WithWALFS(wal.NewMemFS()),
 			rpi.WithSnapshotEvery(0),
 			rpi.WithLogger(quiet),
 			rpi.WithApplyHook(func(uint64, rpi.Delta) {
-				if h.armed.CompareAndSwap(true, false) {
+				if ss.armed.CompareAndSwap(true, false) {
 					panic("serve_test: injected engine fault")
 				}
 			}),
-		)
-	}
-	h.g = supervisor.New(supervisor.Options{
-		Reopen:        open,
-		RetryInterval: 5 * time.Millisecond,
-		Logger:        quiet,
-	})
-	eng, _, err := open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.g.Publish(eng)
-	if cfg.Logger == nil {
-		cfg.Logger = quiet
-	}
-	h.s = NewSupervised(h.g, cfg)
-	h.srv = httptest.NewServer(h.s)
-	t.Cleanup(func() {
-		h.srv.Close()
-		_ = h.g.Close()
-	})
-	return h
+		},
+	}, cfg, "default", host.TenantSpec{Name: "default"})
+	ss.g, ss.s, ss.srv = guardOf(t, h, "default"), s, srv
+	return ss
 }
 
 func (h *supervisedServer) applyHTTP(t *testing.T, d rpi.Delta) *http.Response {
 	t.Helper()
-	body, err := marshalWire(d)
+	body, err := json.Marshal(mustWire(t, d))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,8 +90,16 @@ func (h *supervisedServer) applyHTTP(t *testing.T, d rpi.Delta) *http.Response {
 	return resp
 }
 
-func marshalWire(d rpi.Delta) ([]byte, error) {
-	return json.Marshal(wireChurn(d))
+// tinyServer serves the tiny world as the default tenant over an
+// in-memory WAL, and returns its opened engine.
+func tinyServer(t *testing.T, cfg Config) (*rpi.Engine, *HostServer, *httptest.Server) {
+	t.Helper()
+	in := tinyInputs(t)
+	h, s, srv := testHost(t, host.Config{
+		Inputs:  func(host.TenantSpec) (rpi.Inputs, error) { return in, nil },
+		Options: []rpi.Option{rpi.WithWALFS(wal.NewMemFS())},
+	}, cfg, "default", host.TenantSpec{Name: "default"})
+	return engineOf(t, h, "default"), s, srv
 }
 
 // TestApplyBodyLimits: an oversized (>16MB) body and a body with
@@ -247,16 +239,7 @@ func TestQuarantineOverHTTP(t *testing.T) {
 // TestStreamDeliversUpdates: a well-behaved SSE consumer gets a hello
 // and then coalesced update batches as deltas land.
 func TestStreamDeliversUpdates(t *testing.T) {
-	in := tinyInputs(t)
-	eng, err := rpi.New(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := supervisor.New(supervisor.Options{Logger: quiet})
-	g.Publish(eng)
-	s := NewSupervised(g, Config{Logger: quiet})
-	srv := httptest.NewServer(s)
-	t.Cleanup(srv.Close)
+	eng, _, srv := tinyServer(t, Config{})
 
 	resp, err := http.Get(srv.URL + "/v1/stream")
 	if err != nil {
@@ -297,20 +280,12 @@ func TestStreamDeliversUpdates(t *testing.T) {
 
 // TestStalledStreamConsumer: a subscriber that never reads must not
 // wedge the serving plane. The engine sheds its oldest pending updates
-// (rpi.dropped_updates counts them), the write deadline disconnects
+// (Engine.DroppedUpdates counts them), the write deadline disconnects
 // the dead stream, and the server keeps answering other traffic.
 func TestStalledStreamConsumer(t *testing.T) {
-	in := tinyInputs(t)
-	eng, err := rpi.New(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := supervisor.New(supervisor.Options{Logger: quiet})
-	g.Publish(eng)
-	s := NewSupervised(g, Config{
+	eng, s, _ := tinyServer(t, Config{
 		StreamBuffer:       1,
 		StreamWriteTimeout: 300 * time.Millisecond,
-		Logger:             quiet,
 	})
 	srv := httptest.NewUnstartedServer(s)
 	// Shrink the server-side socket buffer so a non-reading client
@@ -371,15 +346,7 @@ func TestStalledStreamConsumer(t *testing.T) {
 // the response is built is logged and answered with the 499 convention,
 // not a fake 500.
 func TestRequestTimeoutMapsTo499(t *testing.T) {
-	eng, err := rpi.New(tinyInputs(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := supervisor.New(supervisor.Options{Logger: quiet})
-	g.Publish(eng)
-	s := NewSupervised(g, Config{RequestTimeout: time.Nanosecond, Logger: quiet})
-	srv := httptest.NewServer(s)
-	t.Cleanup(srv.Close)
+	_, _, srv := tinyServer(t, Config{RequestTimeout: time.Nanosecond})
 
 	resp, err := http.Get(srv.URL + "/v1/infer")
 	if err != nil {
@@ -395,18 +362,9 @@ func TestRequestTimeoutMapsTo499(t *testing.T) {
 // TestStreamSheds503: the stream class has no queue — once its slots
 // are taken, the next subscriber gets an immediate 503 + Retry-After.
 func TestStreamSheds503(t *testing.T) {
-	eng, err := rpi.New(tinyInputs(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := supervisor.New(supervisor.Options{Logger: quiet})
-	g.Publish(eng)
-	s := NewSupervised(g, Config{
+	_, s, srv := tinyServer(t, Config{
 		Admission: admission.Config{Stream: admission.Limits{Slots: 1}},
-		Logger:    quiet,
 	})
-	srv := httptest.NewServer(s)
-	t.Cleanup(srv.Close)
 
 	first, err := http.Get(srv.URL + "/v1/stream")
 	if err != nil {

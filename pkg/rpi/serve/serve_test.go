@@ -2,15 +2,24 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/netip"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"rpeer/internal/host"
+	"rpeer/internal/pingsim"
+	"rpeer/internal/supervisor"
+	"rpeer/internal/wal"
 	"rpeer/pkg/rpi"
 )
 
@@ -31,15 +40,45 @@ func testInputs(t testing.TB) rpi.Inputs {
 	return fixIn
 }
 
-func testServer(t testing.TB) (*rpi.Engine, *httptest.Server) {
+// testServer serves the paper-sized world as the default tenant of a
+// host journaling to an in-memory WAL, and returns its opened engine.
+func testServer(t *testing.T) (*rpi.Engine, *httptest.Server) {
 	t.Helper()
-	eng, err := rpi.New(testInputs(t))
+	in := testInputs(t)
+	h, _, srv := testHost(t, host.Config{
+		Inputs:  func(host.TenantSpec) (rpi.Inputs, error) { return in, nil },
+		Options: []rpi.Option{rpi.WithWALFS(wal.NewMemFS())},
+	}, Config{}, "default", host.TenantSpec{Name: "default"})
+	return engineOf(t, h, "default"), srv
+}
+
+// guardOf opens the tenant if it is cold and returns its supervisor.
+// The guard stays the tenant's until an eviction or delete, which the
+// tests using it never trigger.
+func guardOf(t *testing.T, h *host.Host, name string) *supervisor.Guard {
+	t.Helper()
+	lease, err := h.Lease(context.Background(), name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(New(eng))
-	t.Cleanup(srv.Close)
-	return eng, srv
+	defer lease.Release()
+	return lease.Guard()
+}
+
+// engineOf returns the tenant's current engine (see guardOf).
+func engineOf(t *testing.T, h *host.Host, name string) *rpi.Engine {
+	t.Helper()
+	return guardOf(t, h, name).Engine()
+}
+
+// mustWire renders a delta as a /v1/apply body.
+func mustWire(t testing.TB, d rpi.Delta) WireDelta {
+	t.Helper()
+	wd, err := NewWireDelta(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wd
 }
 
 func get(t *testing.T, url string, wantStatus int) []byte {
@@ -59,69 +98,128 @@ func get(t *testing.T, url string, wantStatus int) []byte {
 	return b
 }
 
-// TestReadinessGating: a pending server is alive but not ready — every
-// /v1 endpoint and /readyz answer 503 until SetEngine, 200 after.
+// gatedFS is an in-memory WAL filesystem whose Create can be held
+// shut: a quarantined engine's re-open creates a fresh log segment, so
+// holding Create keeps the engine quarantined until release.
+type gatedFS struct {
+	*wal.MemFS
+	mu   sync.Mutex
+	gate chan struct{} // non-nil while held
+}
+
+func (f *gatedFS) hold() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.gate = make(chan struct{})
+}
+
+func (f *gatedFS) release() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.gate != nil {
+		close(f.gate)
+		f.gate = nil
+	}
+}
+
+func (f *gatedFS) Create(path string) (wal.File, error) {
+	f.mu.Lock()
+	g := f.gate
+	f.mu.Unlock()
+	if g != nil {
+		<-g
+	}
+	return f.MemFS.Create(path)
+}
+
+// TestReadinessGating: /readyz follows the default tenant. It answers
+// 503 until the tenant's first open completes, 200 with the seq once
+// the engine serves, 503 + Retry-After while the engine is quarantined
+// and healing (reads keep serving meanwhile), and 200 again once it
+// has healed. /healthz is 200 throughout.
 func TestReadinessGating(t *testing.T) {
-	s := NewPending()
-	srv := httptest.NewServer(s)
-	t.Cleanup(srv.Close)
+	fsys := &gatedFS{MemFS: wal.NewMemFS()}
+	t.Cleanup(fsys.release)
+	var armed atomic.Bool
+	h, _, srv := testHost(t, host.Config{Options: []rpi.Option{
+		rpi.WithWALFS(fsys),
+		rpi.WithSnapshotEvery(0),
+		rpi.WithLogger(quiet),
+		rpi.WithApplyHook(func(uint64, rpi.Delta) {
+			if armed.CompareAndSwap(true, false) {
+				panic("serve_test: injected engine fault")
+			}
+		}),
+	}}, Config{}, "default", host.TenantSpec{Name: "default", Seed: 1})
 
 	var health struct {
-		OK         bool `json:"ok"`
-		Recovering bool `json:"recovering"`
+		OK bool `json:"ok"`
 	}
 	if err := json.Unmarshal(get(t, srv.URL+"/healthz", http.StatusOK), &health); err != nil {
 		t.Fatal(err)
 	}
-	if !health.OK || !health.Recovering {
-		t.Fatalf("pending healthz = %+v", health)
+	if !health.OK {
+		t.Fatalf("healthz = %+v", health)
 	}
 	get(t, srv.URL+"/readyz", http.StatusServiceUnavailable)
-	get(t, srv.URL+"/v1/infer", http.StatusServiceUnavailable)
-	get(t, srv.URL+"/v1/report/any", http.StatusServiceUnavailable)
-	resp, err := http.Post(srv.URL+"/v1/apply", "application/json", strings.NewReader("{}"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("pending apply: status %d, want 503", resp.StatusCode)
-	}
-	if s.Ready() {
-		t.Fatal("Ready() before SetEngine")
-	}
 
-	eng, err := rpi.New(testInputs(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetEngine(eng)
-	if !s.Ready() {
-		t.Fatal("Ready() false after SetEngine")
-	}
+	eng := engineOf(t, h, "default")
 	var ready struct {
-		Ready bool   `json:"ready"`
-		Seq   uint64 `json:"seq"`
+		Ready bool    `json:"ready"`
+		Seq   *uint64 `json:"seq"`
 	}
 	if err := json.Unmarshal(get(t, srv.URL+"/readyz", http.StatusOK), &ready); err != nil {
 		t.Fatal(err)
 	}
-	if !ready.Ready {
-		t.Fatalf("readyz = %+v", ready)
+	if !ready.Ready || ready.Seq == nil || *ready.Seq != 0 {
+		t.Fatalf("readyz after open = %s", get(t, srv.URL+"/readyz", http.StatusOK))
+	}
+
+	fsys.hold()
+	armed.Store(true)
+	postApply(t, srv.URL, mustWire(t, rpi.ChurnDelta(eng.Inputs(), 0.05, 2)), http.StatusServiceUnavailable)
+	resp, err := http.Get(srv.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" ||
+		!strings.Contains(string(b), `"quarantined":true`) {
+		t.Fatalf("quarantined readyz: status %d, Retry-After %q, body %s",
+			resp.StatusCode, resp.Header.Get("Retry-After"), b)
 	}
 	get(t, srv.URL+"/v1/infer", http.StatusOK)
+
+	fsys.release()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Get(srv.URL + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusOK {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("readyz still %d 10s after the re-open was released", resp.StatusCode)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 func TestHealthz(t *testing.T) {
 	_, srv := testServer(t)
 	var body struct {
-		OK  bool   `json:"ok"`
-		Seq uint64 `json:"seq"`
+		OK      bool `json:"ok"`
+		Tenants int  `json:"tenants"`
 	}
 	if err := json.Unmarshal(get(t, srv.URL+"/healthz", http.StatusOK), &body); err != nil {
 		t.Fatal(err)
 	}
-	if !body.OK || body.Seq != 0 {
+	if !body.OK || body.Tenants != 1 {
 		t.Fatalf("healthz = %+v", body)
 	}
 }
@@ -190,24 +288,33 @@ func postApply(t *testing.T, url string, wd WireDelta, wantStatus int) *rpi.Upda
 	return &up
 }
 
-// wireChurn renders a churn delta into the wire form.
-func wireChurn(d rpi.Delta) WireDelta {
-	var wd WireDelta
-	for _, j := range d.Joins {
-		wd.Joins = append(wd.Joins, WireJoin{
-			IXP: j.IXP, Iface: j.Iface.String(), ASN: uint32(j.ASN), PortMbps: j.PortMbps,
-		})
+// TestNewWireDelta: joins and leaves encode; ping overrides are
+// refused rather than silently dropped.
+func TestNewWireDelta(t *testing.T) {
+	ip := netip.MustParseAddr("203.0.113.1")
+	wd, err := NewWireDelta(rpi.Delta{
+		Joins:  []rpi.Join{{IXP: "x", Iface: ip, ASN: 7, PortMbps: 100}},
+		Leaves: []rpi.Key{{IXP: "y", Iface: ip}},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, l := range d.Leaves {
-		wd.Leaves = append(wd.Leaves, WireKey{IXP: l.IXP, Iface: l.Iface.String()})
+	want := WireDelta{
+		Joins:  []WireJoin{{IXP: "x", Iface: "203.0.113.1", ASN: 7, PortMbps: 100}},
+		Leaves: []WireKey{{IXP: "y", Iface: "203.0.113.1"}},
 	}
-	return wd
+	if !reflect.DeepEqual(wd, want) {
+		t.Fatalf("wire delta = %+v, want %+v", wd, want)
+	}
+	if _, err := NewWireDelta(rpi.Delta{Ping: map[netip.Addr]pingsim.Override{ip: {RTTMinMs: 5}}}); err == nil {
+		t.Fatal("ping overrides encoded instead of refused")
+	}
 }
 
 func TestApplyOverHTTP(t *testing.T) {
 	eng, srv := testServer(t)
 	d := rpi.ChurnDelta(eng.Inputs(), 0.005, 5)
-	up := postApply(t, srv.URL, wireChurn(d), http.StatusOK)
+	up := postApply(t, srv.URL, mustWire(t, d), http.StatusOK)
 	if up.Seq != 1 || up.Joined != len(d.Joins) || up.Left != len(d.Leaves) {
 		t.Fatalf("update = %+v", up)
 	}
@@ -237,6 +344,62 @@ func TestApplyOverHTTP(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("garbage body: status %d", resp.StatusCode)
+	}
+}
+
+// TestSoleTenantQueuesConcurrentApplies: a one-tenant host under the
+// shipped admission defaults queues a second concurrent apply behind
+// the first (Write has one slot) instead of shedding it at a fairness
+// cap, so both answer 200.
+func TestSoleTenantQueuesConcurrentApplies(t *testing.T) {
+	in := tinyInputs(t)
+	entered, gate := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	hook := func(uint64, rpi.Delta) {
+		if calls.Add(1) == 1 {
+			close(entered)
+			<-gate
+		}
+	}
+	h, s, srv := testHost(t, host.Config{
+		Inputs:  func(host.TenantSpec) (rpi.Inputs, error) { return in, nil },
+		Options: []rpi.Option{rpi.WithWALFS(wal.NewMemFS()), rpi.WithApplyHook(hook)},
+	}, Config{}, "default", host.TenantSpec{Name: "default"})
+	engineOf(t, h, "default")
+
+	fwd := rpi.ChurnDelta(in, 0.05, 3)
+	rev := rpi.InvertDelta(in, fwd)
+	codes := make(chan string, 2)
+	post := func(d rpi.Delta) {
+		body, _ := json.Marshal(mustWire(t, d))
+		resp, err := http.Post(srv.URL+"/v1/apply", "application/json", bytes.NewReader(body))
+		if err != nil {
+			codes <- err.Error()
+			return
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		codes <- fmt.Sprintf("%d %s", resp.StatusCode, bytes.TrimSpace(b))
+	}
+	go post(fwd)
+	<-entered // the first apply holds the Write slot
+	go post(rev)
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Admission().Stats()["write"].Queued != 1 {
+		if time.Now().After(deadline) {
+			close(gate)
+			t.Fatalf("second apply never queued: %s", <-codes)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	for i := 0; i < 2; i++ {
+		if c := <-codes; !strings.HasPrefix(c, "200 ") {
+			t.Fatalf("apply %d: %s", i, c)
+		}
+	}
+	if shed := s.Admission().TenantShed("default"); shed != 0 {
+		t.Fatalf("sole tenant shed %d requests", shed)
 	}
 }
 
@@ -282,15 +445,16 @@ func TestConcurrentInferAndApply(t *testing.T) {
 			}
 		}(r)
 	}
+	fwdBody, _ := json.Marshal(mustWire(t, fwd))
+	revBody, _ := json.Marshal(mustWire(t, rev))
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 6; i++ {
-			wd := wireChurn(fwd)
+			body := fwdBody
 			if i%2 == 1 {
-				wd = wireChurn(rev)
+				body = revBody
 			}
-			body, _ := json.Marshal(wd)
 			resp, err := http.Post(srv.URL+"/v1/apply", "application/json", bytes.NewReader(body))
 			if err != nil {
 				errs <- err
