@@ -2,7 +2,7 @@ GO ?= go
 # PR number stamped into the benchmark snapshot file name; bump (or
 # override: `make bench-snapshot PR=5`) each PR so trajectories of all
 # PRs stay side by side.
-PR ?= 12
+PR ?= 14
 
 # Pipelines (bench-snapshot) must fail when any stage fails, not just
 # the last one, or a broken benchmark run would silently overwrite the
@@ -36,16 +36,16 @@ test-race:
 soak:
 	RPEER_SOAK=1 $(GO) test -race -run 'TestChurnSoak' ./pkg/rpi -count=1 -v
 
-# Chaos harness for the serving plane: mixed readers, streamers,
-# stalled consumers, appliers and deadline storms against the
-# one-tenant HTTP host while engine panics and WAL append
-# failures are injected mid-apply; asserts the liveness SLOs (reads
-# never fail hard, recovery within bound, recovered state
+# Fault mode of the load generator: the bot's readers, appliers and
+# streamers plus a stalled consumer and a deadline storm against a
+# one-tenant HTTP host while engine panics and WAL append failures are
+# injected mid-apply; asserts the liveness SLOs (no protocol violation,
+# every 503 with Retry-After, recovery within bound, recovered state
 # byte-identical to a cold rebuild, sequence continuity). Runs under
-# the race detector. Short deterministic mode by default (2 fault
-# cycles); set RPEER_CHAOS=1 for the long soak (8 cycles).
+# the race detector, 2 fault cycles; `rpi-bot -faults 8` is the long
+# soak.
 chaos:
-	$(GO) run -race ./cmd/rpi-chaos
+	$(GO) run -race ./cmd/rpi-bot -faults 2 -tenants 1 -readers 2 -appliers 2 -streamers 1
 
 # Fleet load generator smoke: an in-process 4-tenant host driven by
 # mixed readers/appliers/streamers for a few seconds under the race

@@ -1,8 +1,9 @@
-// Command rpi-bot is the fleet-scale load generator: it stands up (or
-// targets) a multi-tenant serving host and drives every tenant with a
-// mixed population of readers, appliers and SSE streamers, then
-// reports per-tenant, per-class admitted p50/p99 latency and shed
-// percentage — the serving plane's SLO-under-load numbers.
+// Command rpi-bot is the load generator of the serving plane: it
+// stands up (or targets) a multi-tenant serving host and drives every
+// tenant with a mixed population of readers, appliers and SSE
+// streamers, then reports per-tenant, per-class admitted p50/p99
+// latency and shed percentage — the serving plane's SLO-under-load
+// numbers.
 //
 // Default mode is self-contained: an in-process host with N tiny-world
 // tenants over an in-memory WAL, so `rpi-bot` with no flags is a
@@ -11,13 +12,21 @@
 // to rpi.MarshalReport of a cold engine built over the same inputs —
 // multi-tenancy must not change a single served byte.
 //
+// Fault mode (-faults N) is the plane's liveness proof: N cycles of the
+// same traffic against a one-tenant in-process host, each injecting an
+// engine panic or a WAL append failure and asserting recovery,
+// writability, byte identity and sequence continuity (see faults.go).
+//
 //	rpi-bot -tenants 4 -readers 6 -appliers 1 -streamers 2 -duration 5s
 //	rpi-bot -o BENCH_PR8.json -merge     # record/refresh the SLO snapshot
 //	rpi-bot -addr http://host:8090       # drive an external rpi-serve
+//	rpi-bot -faults 8                    # fault-injection soak
 //
 // With -o the results are written as benchmark records in the same
 // JSON shape as rpi-benchsnap; -merge folds them into an existing file
 // (replacing records with the same name) instead of overwriting it.
+// Exit status: 0 when every check held, 1 on a failed check, 2 on a
+// bad flag combination.
 package main
 
 import (
@@ -39,7 +48,6 @@ import (
 	"syscall"
 	"time"
 
-	"rpeer/internal/admission"
 	"rpeer/internal/bot"
 	"rpeer/internal/host"
 	"rpeer/internal/netsim"
@@ -57,7 +65,7 @@ func main() {
 
 func run() int {
 	addr := flag.String("addr", "", "drive an external host at this base URL instead of an in-process one")
-	tenants := flag.Int("tenants", 4, "number of tenants to drive")
+	tenants := flag.Int("tenants", 4, "number of tenants to drive (fault mode: 1)")
 	readers := flag.Int("readers", 6, "reader workers per tenant (infer + cheap per-IXP reads)")
 	appliers := flag.Int("appliers", 1, "applier workers per tenant (churn + inverse deltas)")
 	streamers := flag.Int("streamers", 2, "SSE streamer workers per tenant")
@@ -65,12 +73,20 @@ func run() int {
 	seed := flag.Int64("seed", 1, "base world seed; tenant i uses seed+i")
 	worldPath := flag.String("world", "", "serve this pre-generated .rpw world bundle to every tenant (in-process mode) instead of per-tenant tiny worlds")
 	churn := flag.Float64("churn", 0.02, "membership fraction churned per applier delta")
-	readSlots := flag.Int("read-slots", 0, "override full-report read slots (0 = admission default); lower to provoke shedding")
-	tenantShare := flag.Float64("tenant-share", 0, "per-tenant fairness share of each class's slots (0 = default)")
 	out := flag.String("o", "", "write benchmark records to this JSON file (rpi-benchsnap shape)")
 	merge := flag.Bool("merge", false, "with -o: merge into the existing file, replacing same-name records")
-	verify := flag.Bool("verify", true, "after the run, check per-tenant byte identity vs a cold engine over the same inputs (in-process mode only)")
+	faults := flag.Int("faults", 0, "run N fault cycles against a one-tenant in-process host and assert the recovery SLOs (-duration does not apply)")
 	flag.Parse()
+
+	if *faults > 0 {
+		tenantsSet := false
+		flag.Visit(func(f *flag.Flag) { tenantsSet = tenantsSet || f.Name == "tenants" })
+		if *addr != "" || *out != "" || (tenantsSet && *tenants != 1) || *appliers < 1 {
+			log.Print("-faults drives one in-process tenant through its appliers: it takes no -addr or -o, -tenants only 1, and -appliers at least 1")
+			return 2
+		}
+		*tenants = 1
+	}
 
 	if *tenants < 1 {
 		log.Print("need at least one tenant")
@@ -93,16 +109,21 @@ func run() int {
 		ChurnFrac: *churn,
 	}
 
+	if *faults > 0 {
+		if err := runFaults(ctx, *faults, cfg, *seed, *worldPath); err != nil {
+			log.Printf("FAIL: %v", err)
+			return 1
+		}
+		log.Printf("PASS: %d fault cycles, all SLOs held", *faults)
+		return 0
+	}
+
 	var h *host.Host
 	if *addr == "" {
-		adm := admission.Config{TenantShare: *tenantShare}
-		if *readSlots > 0 {
-			adm.Read = admission.Limits{Slots: *readSlots, Queue: 2 * *readSlots, MaxWait: 2 * time.Second}
-		}
 		var base string
 		var shutdown func()
 		var err error
-		h, base, shutdown, err = inProcessHost(names, *seed, *worldPath, adm)
+		h, base, shutdown, err = inProcessHost(names, *seed, *worldPath, serve.Config{RequestTimeout: 10 * time.Second})
 		if err != nil {
 			log.Print(err)
 			return 1
@@ -142,7 +163,7 @@ func run() int {
 		return 1
 	}
 
-	if *verify && h != nil {
+	if h != nil {
 		if err := verifyByteIdentity(h, cfg.BaseURL, names); err != nil {
 			log.Printf("BYTE IDENTITY FAILED: %v", err)
 			return 1
@@ -178,9 +199,11 @@ func tenantSeed(base int64, names []string, tn string) int64 {
 
 // inProcessHost stands up the self-contained fleet: a host with one
 // tiny world per tenant (or one shared pre-generated .rpw bundle) over
-// an in-memory WAL, fronted by the shared serving plane on a loopback
-// listener.
-func inProcessHost(names []string, seed int64, worldPath string, adm admission.Config) (*host.Host, string, func(), error) {
+// an in-memory WAL, fronted by the serving plane (scfg) on a loopback
+// listener. The first tenant also answers the single-world routes
+// (/readyz, /v1/infer). opts follow the in-memory WAL default in every
+// engine's options, so a later rpi.WithWALFS replaces it.
+func inProcessHost(names []string, seed int64, worldPath string, scfg serve.Config, opts ...rpi.Option) (*host.Host, string, func(), error) {
 	inputs := func(sp host.TenantSpec) (rpi.Inputs, error) {
 		return tinyInputs(sp.Seed)
 	}
@@ -195,9 +218,9 @@ func inProcessHost(names []string, seed int64, worldPath string, adm admission.C
 	}
 	h, err := host.Open(host.Config{
 		Inputs:     inputs,
-		Options:    []rpi.Option{rpi.WithWALFS(wal.NewMemFS())},
+		Options:    append([]rpi.Option{rpi.WithWALFS(wal.NewMemFS())}, opts...),
 		MaxTenants: len(names),
-		Logger:     log.New(io.Discard, "", 0),
+		Logger:     quiet,
 	})
 	if err != nil {
 		return nil, "", nil, err
@@ -208,10 +231,7 @@ func inProcessHost(names []string, seed int64, worldPath string, adm admission.C
 			return nil, "", nil, err
 		}
 	}
-	front := serve.NewHost(h, "", serve.Config{
-		Admission:      adm,
-		RequestTimeout: 10 * time.Second,
-	})
+	front := serve.NewHost(h, names[0], scfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		_ = h.Close()
@@ -276,8 +296,8 @@ func ensureTenants(ctx context.Context, base string, names []string, seed int64)
 // each tenant, rpi.MarshalReport of a cold engine built over the tenant
 // engine's current inputs must equal the bytes the host serves.
 // (Engine inputs track every applied delta, so a cold rebuild over
-// them equals the incrementally-maintained world — the same invariant
-// the chaos harness checks.)
+// them equals the incrementally-maintained world; fault mode checks
+// the same after every recovery.)
 func verifyByteIdentity(h *host.Host, base string, names []string) error {
 	cl := &http.Client{Timeout: 30 * time.Second}
 	for _, tn := range names {
@@ -305,7 +325,7 @@ func verifyByteIdentity(h *host.Host, base string, names []string) error {
 			return fmt.Errorf("tenant %q: host read: %w", tn, err)
 		}
 		if !bytes.Equal(hostBytes, coldBytes) {
-			return fmt.Errorf("tenant %q: host served %d bytes != cold engine %d bytes",
+			return fmt.Errorf("tenant %q: host bytes differ from a cold engine's (%d vs %d bytes)",
 				tn, len(hostBytes), len(coldBytes))
 		}
 	}
@@ -389,7 +409,7 @@ func writeSnapshot(path string, merge bool, rep *bot.Report) error {
 				continue
 			}
 			recs = append(recs, record{
-				Name:       fmt.Sprintf("BotHostLoad/tenant=%s/class=%s", orDefault(tn), cl),
+				Name:       fmt.Sprintf("BotHostLoad/tenant=%s/class=%s", tn, cl),
 				Iterations: int64(st.Admitted),
 				NsPerOp:    st.MeanMs * 1e6,
 				Metrics: map[string]float64{
@@ -458,11 +478,4 @@ func writeSnapshot(path string, merge bool, rep *bot.Report) error {
 		return err
 	}
 	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-func orDefault(tn string) string {
-	if tn == "" {
-		return "default"
-	}
-	return tn
 }

@@ -10,15 +10,18 @@
 // classifies every response the way an operator would: 200 admitted,
 // 503 shed (admission or quarantine), 400/422 rejected (a delta that
 // lost a validation race), 499/timeouts abandoned. Shedding is load
-// working as designed, so it is counted, not failed.
+// working as designed, so it is counted, not failed; but a 503 must
+// say when to come back, so one without Retry-After is a protocol
+// violation like a status outside the allowed set.
 //
 // Appliers keep each tenant's world bounded no matter how long the run
-// is: every forward churn delta is followed by its inverse, the same
-// discipline as the chaos harness.
+// is: every committed forward churn delta is followed by its inverse,
+// re-posted until it commits or the run ends.
 package bot
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -28,7 +31,6 @@ import (
 	"math/rand"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,8 +43,7 @@ import (
 type Config struct {
 	// BaseURL is the serving host ("http://127.0.0.1:8090").
 	BaseURL string
-	// Tenants are the tenant names to drive. A single empty name drives
-	// the single-world (default tenant) routes instead of /v1/t/{tenant}.
+	// Tenants are the tenant names to drive under /v1/t/{tenant}.
 	Tenants []string
 	// Per-tenant worker populations.
 	Readers, Appliers, Streamers int
@@ -88,7 +89,8 @@ type Report struct {
 	// streams, per tenant.
 	StreamEvents map[string]uint64 `json:"stream_events,omitempty"`
 	// BadStatus records the first response that violated the protocol
-	// (a status outside the allowed set), empty on a clean run.
+	// (a status outside the allowed set, or a 503 without Retry-After),
+	// empty on a clean run.
 	BadStatus string `json:"bad_status,omitempty"`
 }
 
@@ -108,9 +110,7 @@ func (c *collector) observe(status int, d time.Duration) {
 		c.shed.Add(1)
 	case status == http.StatusBadRequest || status == http.StatusUnprocessableEntity:
 		c.rejected.Add(1)
-	case status == serve.StatusClientClosedRequest || status == 0: // 0: client-side error/timeout
-		c.errs.Add(1)
-	default:
+	default: // 499, 0 (client-side error or timeout), anything else
 		c.errs.Add(1)
 	}
 }
@@ -280,18 +280,16 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// path joins the tenant route prefix: /v1/t/{tenant}/suffix, or the
-// legacy /v1/suffix for the empty tenant name.
-func (r *run) path(tenant, suffix string) string {
-	if tenant == "" {
-		return r.cfg.BaseURL + "/v1/" + suffix
+// check records the first response outside the protocol: a status
+// outside the allowed set, or a 503 without Retry-After. Status 0 (no
+// response) has no header to check.
+func (r *run) check(method, url string, status int, h http.Header, allowed func(int) bool) {
+	switch {
+	case !allowed(status):
+		r.bad.CompareAndSwap(nil, fmt.Sprintf("%s %s -> %d", method, url, status))
+	case status == http.StatusServiceUnavailable && h.Get("Retry-After") == "":
+		r.bad.CompareAndSwap(nil, fmt.Sprintf("%s %s -> 503 without Retry-After", method, url))
 	}
-	return r.cfg.BaseURL + "/v1/t/" + tenant + "/" + suffix
-}
-
-// violation records a status outside the protocol's allowed set.
-func (r *run) violation(method, url string, status int) {
-	r.bad.CompareAndSwap(nil, fmt.Sprintf("%s %s -> %d", method, url, status))
 }
 
 func allowedRead(status int) bool {
@@ -302,27 +300,30 @@ func allowedRead(status int) bool {
 	return false
 }
 
+// allowedWrite adds 400/422: a delta that lost a validation race.
+func allowedWrite(status int) bool {
+	return allowedRead(status) || status == http.StatusBadRequest || status == http.StatusUnprocessableEntity
+}
+
 // reader alternates full-report and cheap per-IXP reads.
 func (r *run) reader(ctx context.Context, tenant string, id int) {
 	cl := &http.Client{Timeout: 5 * time.Second}
 	ixp := r.ixp[tenant]
 	for i := id; ctx.Err() == nil; i++ {
-		class, url := "read", r.path(tenant, "infer")
+		class, url := "read", r.cfg.BaseURL+"/v1/t/"+tenant+"/infer"
 		if ixp != "" && i%2 == 1 {
-			class, url = "cheap", r.path(tenant, "report/"+ixp)
+			class, url = "cheap", r.cfg.BaseURL+"/v1/t/"+tenant+"/report/"+ixp
 		}
 		t0 := time.Now()
-		status := 0
+		status, hdr := 0, http.Header(nil)
 		resp, err := cl.Get(url)
 		if err == nil {
 			_, _ = io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
-			status = resp.StatusCode
+			status, hdr = resp.StatusCode, resp.Header
 		}
 		r.cols[tenant][class].observe(status, time.Since(t0))
-		if !allowedRead(status) {
-			r.violation("GET", url, status)
-		}
+		r.check("GET", url, status, hdr, allowedRead)
 	}
 }
 
@@ -330,7 +331,11 @@ func (r *run) reader(ctx context.Context, tenant string, id int) {
 // wanders but always returns, so a run of any length leaves the state
 // equivalent to its own input set (the byte-identity check the fleet
 // harness performs afterwards rides on the engine's inputs, which
-// track every applied delta either way).
+// track every applied delta either way). A shed or abandoned inverse
+// is re-posted with backoff until it commits or ctx ends: dropped, it
+// would leave the forward delta in the world, and a client that builds
+// deltas against the base world (an external host) would then see
+// every later delta over those memberships rejected.
 func (r *run) applier(ctx context.Context, tenant string, seed int64) {
 	cl := &http.Client{Timeout: 10 * time.Second}
 	rng := rand.New(rand.NewSource(seed))
@@ -345,11 +350,15 @@ func (r *run) applier(ctx context.Context, tenant string, seed int64) {
 		}
 		d := rpi.ChurnDelta(in, r.cfg.ChurnFrac, rng.Int63())
 		inv := rpi.InvertDelta(in, d)
-		ok := r.postDelta(cl, tenant, d)
+		ok := r.postDelta(cl, tenant, d) == http.StatusOK
 		if ok {
 			// Only a committed forward delta needs (and can accept) its
-			// inverse.
-			r.postDelta(cl, tenant, inv)
+			// inverse; a 400/422 is final (the world moved under it).
+			backoff := 10 * time.Millisecond
+			for st := r.postDelta(cl, tenant, inv); ctx.Err() == nil && unsettled(st); st = r.postDelta(cl, tenant, inv) {
+				sleepCtx(ctx, backoff)
+				backoff = min(2*backoff, time.Second)
+			}
 		}
 		mu.Unlock()
 		if !ok {
@@ -358,36 +367,37 @@ func (r *run) applier(ctx context.Context, tenant string, seed int64) {
 	}
 }
 
-func (r *run) postDelta(cl *http.Client, tenant string, d rpi.Delta) bool {
+// unsettled reports a delta post that was shed or abandoned: neither
+// committed nor rejected, so posting it again can still commit it.
+func unsettled(status int) bool {
+	return status == http.StatusServiceUnavailable || status == serve.StatusClientClosedRequest || status == 0
+}
+
+// postDelta sends one delta and returns the response status (0: no
+// response, -1: the delta could not be encoded).
+func (r *run) postDelta(cl *http.Client, tenant string, d rpi.Delta) int {
 	wd, err := serve.NewWireDelta(d)
 	if err != nil {
 		r.bad.CompareAndSwap(nil, "encode delta: "+err.Error())
-		return false
+		return -1
 	}
 	body, err := json.Marshal(wd)
 	if err != nil {
 		r.bad.CompareAndSwap(nil, "marshal delta: "+err.Error())
-		return false
+		return -1
 	}
-	url := r.path(tenant, "apply")
+	url := r.cfg.BaseURL + "/v1/t/" + tenant + "/apply"
 	t0 := time.Now()
-	status := 0
-	resp, err := cl.Post(url, "application/json", strings.NewReader(string(body)))
+	status, hdr := 0, http.Header(nil)
+	resp, err := cl.Post(url, "application/json", bytes.NewReader(body))
 	if err == nil {
 		_, _ = io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		status = resp.StatusCode
+		status, hdr = resp.StatusCode, resp.Header
 	}
 	r.cols[tenant]["write"].observe(status, time.Since(t0))
-	switch status {
-	case http.StatusOK:
-		return true
-	case http.StatusServiceUnavailable, http.StatusBadRequest,
-		http.StatusUnprocessableEntity, serve.StatusClientClosedRequest, 0:
-		return false
-	}
-	r.violation("POST", url, status)
-	return false
+	r.check("POST", url, status, hdr, allowedWrite)
+	return status
 }
 
 // streamer holds an SSE subscription, counting update events; the
@@ -400,7 +410,7 @@ func (r *run) streamer(ctx context.Context, tenant string) {
 }
 
 func (r *run) streamOnce(ctx context.Context, tenant string) {
-	url := r.path(tenant, "stream")
+	url := r.cfg.BaseURL + "/v1/t/" + tenant + "/stream"
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return
@@ -415,9 +425,7 @@ func (r *run) streamOnce(ctx context.Context, tenant string) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		r.cols[tenant]["stream"].observe(resp.StatusCode, time.Since(t0))
-		if !allowedRead(resp.StatusCode) {
-			r.violation("GET", url, resp.StatusCode)
-		}
+		r.check("GET", url, resp.StatusCode, resp.Header, allowedRead)
 		sleepCtx(ctx, 50*time.Millisecond) // shed: back off before resubscribing
 		return
 	}

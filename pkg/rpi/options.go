@@ -95,15 +95,15 @@ func WithoutVminBound() Option {
 // the sequence number it is about to commit, after the delta is
 // journaled and before memory is mutated. A hook that panics models an
 // engine bug at the worst possible moment (delta durable, state not
-// yet updated) — the lever the supervisor quarantine tests and the
-// chaos harness pull. Production engines leave it nil.
+// yet updated) — the lever the supervisor quarantine tests and
+// `rpi-bot -faults` pull. Production engines leave it nil.
 func WithApplyHook(h func(seq uint64, d Delta)) Option {
 	return func(c *config) { c.applyHook = h }
 }
 
 // WithWALFS swaps the filesystem seam underneath a persistent engine's
 // log and snapshot stores. The fault-injection hook of the crash tests
-// and the chaos harness (wal.NewMemFS); production engines keep the
+// and `rpi-bot -faults` (wal.NewMemFS); production engines keep the
 // default OS filesystem.
 func WithWALFS(fsys wal.FS) Option {
 	return func(c *config) { c.walFS = fsys }
