@@ -2,7 +2,7 @@ GO ?= go
 # PR number stamped into the benchmark snapshot file name; bump (or
 # override: `make bench-snapshot PR=5`) each PR so trajectories of all
 # PRs stay side by side.
-PR ?= 14
+PR ?= 15
 
 # Pipelines (bench-snapshot) must fail when any stage fails, not just
 # the last one, or a broken benchmark run would silently overwrite the

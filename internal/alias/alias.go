@@ -6,6 +6,15 @@
 // a Monotonic Bounds Test (MBT) to decide whether two interfaces share
 // one counter — i.e. belong to one physical router.
 //
+// Probe outcomes live in a Column: one row per interface index holding
+// a reply bitmask over the Rounds probe rounds, a fixed stride of
+// 16-bit IP-IDs, the hashed probe offset and the fitted counter
+// velocity. The column is flat slices with no per-interface heap
+// object, filled in parallel, and grown only at its tail. Callers that
+// intern interfaces into dense IDs (core.Context) keep one column over
+// their whole ID space and resolve ID sets against it with
+// ResolveColumn; Resolve wraps a throwaway column for address sets.
+//
 // Two confidence modes mirror the two CAIDA datasets the paper chooses
 // between: ModePrecision (MIDAR + iffinder: strict, very low false
 // positives) and ModeCoverage (adding kapar-style looser matching:
@@ -14,11 +23,13 @@ package alias
 
 import (
 	"math"
+	"math/bits"
 	"net/netip"
-	"sort"
+	"slices"
 	"sync"
 
 	"rpeer/internal/netsim"
+	"rpeer/internal/par"
 	"rpeer/internal/rng"
 )
 
@@ -42,15 +53,23 @@ func (m Mode) String() string {
 	return "midar+kapar"
 }
 
+const (
+	// Rounds is the number of interleaved probe rounds per interface
+	// (MIDAR-like; at most 32, the width of a column's reply mask).
+	Rounds = 30
+	// Spacing is the inter-round spacing in seconds.
+	Spacing = 10.0
+)
+
 // Prober simulates probing an interface for its IP-ID value. A
 // fraction of routers use randomized or zero IP-IDs and are therefore
 // unresolvable — the real-world phenomenon that caps Step 4 coverage.
 //
 // Probing is a pure function of (seed, interface, probe time): per-probe
 // randomness (loss, counter jitter) is derived from a stable hash rather
-// than a shared RNG stream. This makes Resolve a pure function of its
-// input set, so callers (core.Context) can memoize resolution results
-// across pipeline runs without changing any outcome.
+// than a shared RNG stream. An interface's probe series therefore does
+// not depend on which other interfaces share a resolution, so one
+// Column row serves every resolution that touches the interface.
 type Prober struct {
 	w *netsim.World
 	// RandomIPIDFrac is the fraction of routers with unusable IP-ID
@@ -152,103 +171,108 @@ func (p *Prober) Probe(iface netip.Addr, t float64) (uint16, bool) {
 	return uint16(uint64(v) % 65536), true
 }
 
-// sampleSeries probes one interface across rounds, hoisting the
-// router resolution, usability verdict and address words out of the
-// per-round loop (Probe re-derives all three per call; a MIDAR series
-// touches the same interface 30 times). Identical outcomes to calling
-// Probe round by round.
-func (p *Prober) sampleSeries(iface netip.Addr, rounds int, spacing, offset float64) []sample {
-	rid, ok := p.w.RouterOf(iface)
-	if !ok {
-		return nil
-	}
-	r := p.w.Router(rid)
-	if !p.usableCounter(r) {
-		return nil // every probe replies without signal
-	}
-	lo, hi := addrWords(iface)
-	base := rng.Key2(p.seed, lo, hi)
-	out := make([]sample, 0, rounds)
-	for i := 0; i < rounds; i++ {
-		t := float64(i)*spacing + offset
-		ht := rng.Mix(base, math.Float64bits(t))
-		if float64(rng.Mix(ht, 0x5A)>>11)/(1<<53) < p.NoReplyProb {
-			continue
-		}
-		jitter := float64(rng.Mix(ht, 0x33)>>11) / (1 << 53)
-		v := float64(r.IPIDInit) + r.IPIDRate*t + jitter*3
-		out = append(out, sample{t, uint16(uint64(v) % 65536)})
-	}
-	return out
-}
-
 // sample is one (time, unwrapped-id) observation.
 type sample struct {
 	t  float64
 	id uint16
 }
 
-// ifaceSeries is the memoized probe outcome for one interface: the
-// time-ordered sample series and its fitted counter velocity. Probing
-// is a pure function of (prober seed, interface), so one record serves
-// every Resolve call that touches the interface.
-type ifaceSeries struct {
-	samples []sample
-	vel     float64
-	velOK   bool
+// sampleTime is the probe time of round k for an interface whose
+// rounds are shifted by off seconds. Every reader of a column
+// recomputes times through here, so the fill, the velocity fit and the
+// MBT see bit-identical floats.
+func sampleTime(k int, off float64) float64 { return float64(k)*Spacing + off }
+
+// slotOffset converts a hashed offset slot (0..6) into seconds: the
+// round schedule interleaves interfaces MIDAR-style in steps of
+// Spacing/7.
+func slotOffset(slot uint8) float64 { return float64(slot) * (Spacing / 7) }
+
+// Column is the probe-series substrate: row i holds the outcome of
+// probing interface i across all Rounds rounds. Rows are written only
+// by their own index, so a parallel fill is schedule-independent, and
+// a filled row is never rewritten — Extend probes only the new tail.
+type Column struct {
+	mask   []uint32  // bit k set: round k returned a usable reply
+	ids    []uint16  // Rounds IP-IDs per row, by round (valid where mask is set)
+	slot   []uint8   // hashed probe offset, in units of Spacing/7
+	vel    []float64 // fitted counter velocity (IDs per second)
+	velOK  []bool    // the fit had enough samples
+	probed int       // rows ever probed (== Len: no row is probed twice)
 }
 
-// Resolver clusters interfaces into routers.
-type Resolver struct {
-	Prober *Prober
-	Mode   Mode
-	// Rounds is the number of interleaved probe rounds per interface.
-	Rounds int
-	// Spacing is the inter-round spacing in seconds.
-	Spacing float64
+// Len returns the number of rows (interfaces) the column covers.
+func (c *Column) Len() int { return len(c.mask) }
 
-	// memo caches the per-interface series across Resolve calls. The
-	// probe schedule offsets by a hash of the address (not the position
-	// of the interface within one call's input set), so a series is a
-	// pure function of the interface and can be shared by every call.
-	memoMu sync.RWMutex
-	memo   map[netip.Addr]*ifaceSeries
-}
+// Probed returns how many row probes the column has run over its
+// lifetime. It equals Len: growth probes only new rows.
+func (c *Column) Probed() int { return c.probed }
 
-// NewResolver returns a resolver with MIDAR-like defaults (30 rounds,
-// 10 s spacing).
-func NewResolver(p *Prober, mode Mode) *Resolver {
-	return &Resolver{
-		Prober: p, Mode: mode, Rounds: 30, Spacing: 10,
-		memo: make(map[netip.Addr]*ifaceSeries),
+// Extend probes the interfaces addrs[c.Len():] into new rows, fanning
+// the rows over workers goroutines (workers <= 1 runs inline). addrs
+// is the whole index-to-address list; rows already present are neither
+// re-probed nor moved in value, so growth costs O(new rows).
+func (c *Column) Extend(p *Prober, addrs []netip.Addr, workers int) {
+	old, n := c.Len(), len(addrs)
+	if n <= old {
+		return
 	}
+	c.mask = grow(c.mask, n)
+	c.ids = grow(c.ids, n*Rounds)
+	c.slot = grow(c.slot, n)
+	c.vel = grow(c.vel, n)
+	c.velOK = grow(c.velOK, n)
+	par.Do(workers, n-old, func(k int) { p.probeRow(c, old+k, addrs[old+k]) })
+	c.probed += n - old
 }
 
-// seriesFor returns the memoized series of one interface, probing it
-// across all rounds on first use. The round offset interleaves
-// interfaces MIDAR-style; it is derived from the address so that the
-// series does not depend on which other interfaces share the call.
-func (r *Resolver) seriesFor(iface netip.Addr) *ifaceSeries {
-	r.memoMu.RLock()
-	s, ok := r.memo[iface]
-	r.memoMu.RUnlock()
-	if ok {
-		return s
+// grow extends s to length n, reallocating with headroom so repeated
+// small tail growth stays amortized O(new elements).
+func grow[E any](s []E, n int) []E {
+	if cap(s) >= n {
+		return s[:n]
 	}
+	next := make([]E, n, n+n/8)
+	copy(next, s)
+	return next
+}
 
+// probeRow probes one interface across all rounds into row i (new,
+// hence zeroed), hoisting the router resolution, usability verdict and
+// address words out of the per-round loop (Probe re-derives all three
+// per call). The outcome equals calling Probe round by round.
+func (p *Prober) probeRow(c *Column, i int, iface netip.Addr) {
 	lo, hi := addrWords(iface)
-	offset := float64(rng.Key3(r.Prober.seed, lo, hi, 0x0f)%7) * (r.Spacing / 7)
-	s = &ifaceSeries{samples: r.Prober.sampleSeries(iface, r.Rounds, r.Spacing, offset)}
-	s.vel, s.velOK = velocity(s.samples)
-
-	r.memoMu.Lock()
-	if prev, ok := r.memo[iface]; ok {
-		s = prev // concurrent duplicate computed the identical value
-	} else {
-		r.memo[iface] = s
+	c.slot[i] = uint8(rng.Key3(p.seed, lo, hi, 0x0f) % 7)
+	rid, ok := p.w.RouterOf(iface)
+	if !ok {
+		return
 	}
-	r.memoMu.Unlock()
-	return s
+	r := p.w.Router(rid)
+	if !p.usableCounter(r) {
+		return // every probe replies without signal
+	}
+	off := slotOffset(c.slot[i])
+	base := rng.Key2(p.seed, lo, hi)
+	row := c.ids[i*Rounds : (i+1)*Rounds]
+	var series [Rounds]sample
+	n := 0
+	var mask uint32
+	for k := range Rounds {
+		t := sampleTime(k, off)
+		ht := rng.Mix(base, math.Float64bits(t))
+		if float64(rng.Mix(ht, 0x5A)>>11)/(1<<53) < p.NoReplyProb {
+			continue
+		}
+		jitter := float64(rng.Mix(ht, 0x33)>>11) / (1 << 53)
+		v := float64(r.IPIDInit) + r.IPIDRate*t + jitter*3
+		row[k] = uint16(uint64(v) % 65536)
+		mask |= 1 << k
+		series[n] = sample{t, row[k]}
+		n++
+	}
+	c.mask[i] = mask
+	c.vel[i], c.velOK[i] = velocity(series[:n])
 }
 
 // velocity estimates the counter rate (IDs per second) of a series by
@@ -283,19 +307,17 @@ func velocity(s []sample) (rate float64, ok bool) {
 	return (n*sxy - sx*sy) / den, true
 }
 
-// mbt runs the Monotonic Bounds Test on two interleaved series: merged
-// by time, the unwrapped sequence must be strictly non-decreasing and
-// consistent with a single linear counter. Both series are already
-// time-ordered, so the merge is a two-pointer walk with no allocation.
-func (r *Resolver) mbt(sa, sb *ifaceSeries) bool {
-	a, b := sa.samples, sb.samples
-	if len(a) < 5 || len(b) < 5 {
+// mbt runs the Monotonic Bounds Test on rows a and b: merged by time,
+// the unwrapped sequence must be strictly non-decreasing and
+// consistent with a single linear counter. Each row's replies are
+// time-ordered by round, so the merge walks the two reply masks
+// lowest bit first with no allocation.
+func (c *Column) mbt(a, b int) bool {
+	// A velocity fit needs at least 5 replies.
+	if !c.velOK[a] || !c.velOK[b] {
 		return false
 	}
-	if !sa.velOK || !sb.velOK {
-		return false
-	}
-	va, vb := sa.vel, sb.vel
+	va, vb := c.vel[a], c.vel[b]
 	// Velocities of a shared counter agree closely.
 	if math.Abs(va-vb) > 0.05*math.Max(va, vb)+2 {
 		return false
@@ -303,18 +325,23 @@ func (r *Resolver) mbt(sa, sb *ifaceSeries) bool {
 	// Monotonicity of the merged sequence with the common velocity:
 	// successive samples must advance by roughly rate*dt.
 	rate := (va + vb) / 2
-	i, j := 0, 0
+	ma, mb := c.mask[a], c.mask[b]
+	offA, offB := slotOffset(c.slot[a]), slotOffset(c.slot[b])
+	rowA, rowB := c.ids[a*Rounds:(a+1)*Rounds], c.ids[b*Rounds:(b+1)*Rounds]
 	var prev sample
-	for i < len(a) || j < len(b) {
+	first := true
+	for ma != 0 || mb != 0 {
 		var cur sample
-		if j >= len(b) || (i < len(a) && a[i].t <= b[j].t) {
-			cur = a[i]
-			i++
+		ka, kb := bits.TrailingZeros32(ma), bits.TrailingZeros32(mb)
+		ta, tb := sampleTime(ka, offA), sampleTime(kb, offB)
+		if mb == 0 || (ma != 0 && ta <= tb) {
+			cur = sample{ta, rowA[ka]}
+			ma &= ma - 1
 		} else {
-			cur = b[j]
-			j++
+			cur = sample{tb, rowB[kb]}
+			mb &= mb - 1
 		}
-		if i+j > 1 {
+		if !first {
 			dt := cur.t - prev.t
 			expect := rate * dt
 			diff := float64(cur.id) - float64(prev.id)
@@ -326,39 +353,33 @@ func (r *Resolver) mbt(sa, sb *ifaceSeries) bool {
 				return false
 			}
 		}
+		first = false
 		prev = cur
 	}
 	return true
 }
 
-// Resolve clusters the given interfaces into alias sets (routers).
-// Interfaces that resolve with nothing form singleton clusters. The
-// result is deterministic for a given prober seed and input order is
-// normalised internally.
-func (r *Resolver) Resolve(ifaces []netip.Addr) [][]netip.Addr {
-	sorted := append([]netip.Addr(nil), ifaces...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
-	// Dedup so the union-find indexes are one-per-interface.
-	dedup := sorted[:0]
-	for i, ip := range sorted {
-		if i == 0 || ip != sorted[i-1] {
-			dedup = append(dedup, ip)
+// ResolveColumn clusters the column rows named by ids into alias sets
+// (routers). ids must be sorted by interface address with duplicates
+// adjacent; duplicates collapse to one member. Rows that resolve with
+// nothing form singleton clusters. Clusters are emitted in ascending
+// order of their first member and keep input order within, so the
+// result is a pure function of the row set. ids is not retained; the
+// clusters share one backing array.
+func ResolveColumn[T ~uint32](mode Mode, col *Column, ids []T) [][]T {
+	set := make([]T, 0, len(ids))
+	for i, id := range ids {
+		if i == 0 || id != ids[i-1] {
+			set = append(set, id)
 		}
 	}
-	sorted = dedup
 
-	series := make([]*ifaceSeries, len(sorted))
-	for i, ip := range sorted {
-		series[i] = r.seriesFor(ip)
-	}
-
-	// Union-find over alias-positive pairs, by index into sorted.
-	parent := make([]int32, len(sorted))
+	// Union-find over alias-positive pairs, by position in set.
+	parent := make([]int32, len(set))
 	for i := range parent {
 		parent[i] = int32(i)
 	}
-	var find func(int32) int32
-	find = func(x int32) int32 {
+	find := func(x int32) int32 {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]] // path halving
 			x = parent[x]
@@ -375,50 +396,97 @@ func (r *Resolver) Resolve(ifaces []netip.Addr) [][]netip.Addr {
 		}
 	}
 
-	for i := 0; i < len(sorted); i++ {
-		si := series[i]
-		if !si.velOK {
+	for i := range set {
+		a := int(set[i])
+		if !col.velOK[a] {
 			continue
 		}
-		for j := i + 1; j < len(sorted); j++ {
-			sj := series[j]
-			if !sj.velOK || find(int32(i)) == find(int32(j)) {
+		for j := i + 1; j < len(set); j++ {
+			b := int(set[j])
+			if !col.velOK[b] || find(int32(i)) == find(int32(j)) {
 				continue
 			}
-			va, vb := si.vel, sj.vel
+			va, vb := col.vel[a], col.vel[b]
 			// Cheap velocity pre-filter before the expensive MBT.
 			if math.Abs(va-vb) > 0.10*math.Max(va, vb)+5 {
 				continue
 			}
-			switch r.Mode {
+			switch mode {
 			case ModePrecision:
-				if r.mbt(si, sj) {
+				if col.mbt(a, b) {
 					union(int32(i), int32(j))
 				}
 			case ModeCoverage:
-				if r.mbt(si, sj) || math.Abs(va-vb) < 0.02*math.Max(va, vb)+1 {
+				if col.mbt(a, b) || math.Abs(va-vb) < 0.02*math.Max(va, vb)+1 {
 					union(int32(i), int32(j))
 				}
 			}
 		}
 	}
 
-	// Emit clusters in ascending order of their smallest member (the
-	// root, since union keeps the lower index as root and indexes are
-	// address-ordered).
-	groups := make(map[int32][]netip.Addr, len(sorted))
-	var roots []int32
-	for i, ip := range sorted {
+	// Union keeps the lower position as root, so every root is its
+	// cluster's first member: numbering roots as they are met emits
+	// clusters in root order. cluster[i] is i's cluster number.
+	cluster := make([]int32, len(set))
+	var sizes []int
+	for i := range set {
 		root := find(int32(i))
-		if _, ok := groups[root]; !ok {
-			roots = append(roots, root)
+		if root == int32(i) {
+			cluster[i] = int32(len(sizes))
+			sizes = append(sizes, 0)
+		} else {
+			cluster[i] = cluster[root]
 		}
-		groups[root] = append(groups[root], ip)
+		sizes[cluster[i]]++
 	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
-	out := make([][]netip.Addr, 0, len(roots))
-	for _, root := range roots {
-		out = append(out, groups[root])
+	slab := make([]T, len(set))
+	out := make([][]T, len(sizes))
+	start := 0
+	for k, n := range sizes {
+		out[k] = slab[start : start : start+n]
+		start += n
+	}
+	for i, id := range set {
+		out[cluster[i]] = append(out[cluster[i]], id)
+	}
+	return out
+}
+
+// Resolver clusters address sets into routers over a throwaway column.
+// Callers with a dense interface ID space should keep one Column and
+// call ResolveColumn instead.
+type Resolver struct {
+	Prober *Prober
+	Mode   Mode
+}
+
+// NewResolver returns a resolver probing Rounds rounds Spacing seconds
+// apart.
+func NewResolver(p *Prober, mode Mode) *Resolver {
+	return &Resolver{Prober: p, Mode: mode}
+}
+
+// Resolve clusters the given interfaces into alias sets (routers).
+// Interfaces that resolve with nothing form singleton clusters. The
+// result is deterministic for a given prober seed and input order is
+// normalised internally.
+func (r *Resolver) Resolve(ifaces []netip.Addr) [][]netip.Addr {
+	sorted := slices.Clone(ifaces)
+	slices.SortFunc(sorted, netip.Addr.Compare)
+	sorted = slices.Compact(sorted)
+	var col Column
+	col.Extend(r.Prober, sorted, 1)
+	rows := make([]uint32, len(sorted))
+	for i := range rows {
+		rows[i] = uint32(i)
+	}
+	clusters := ResolveColumn(r.Mode, &col, rows)
+	out := make([][]netip.Addr, len(clusters))
+	for i, cl := range clusters {
+		out[i] = make([]netip.Addr, len(cl))
+		for j, row := range cl {
+			out[i][j] = sorted[row]
+		}
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -48,10 +49,12 @@ import (
 //     memoized per-(VP, facility-set) sorted-distance index keyed by
 //     packed integer IDs, so each feasible-ring query is a binary
 //     search instead of a Vincenty solve per facility;
-//   - memoized alias-resolution clusters in ID space (sound because
-//     alias probing is a pure function of seed, interface and probe
-//     time), and the memoized multi-IXP router observations Step 4
-//     re-reads on every run;
+//   - the alias probe-series column: every interned interface probed
+//     once, in parallel, into an IfaceID-indexed alias.Column (sound
+//     because alias probing is a pure function of seed, interface and
+//     probe time, and independent of the alias mode), plus memoized
+//     alias-resolution clusters in ID space and the memoized multi-IXP
+//     router observations Step 4 re-reads on every run;
 //   - a pool of per-shard scratch columns (epoch-stamped mark arrays)
 //     so the per-entry classification of Steps 1-3 and 5 allocates
 //     nothing in steady state.
@@ -141,7 +144,15 @@ type Context struct {
 	ringMu sync.RWMutex
 	rings  map[uint64][]ringEntry
 
-	resolvers  map[alias.Mode]*alias.Resolver
+	// prober and aliasCol are the alias substrate: one probe-series
+	// row per IfaceID, shared by both alias modes. prober stays nil
+	// until the end of newContext, which marks the column as live:
+	// growColumns then grows its tail for every newly interned ID.
+	// Only Apply grows it and Apply never runs concurrently with runs,
+	// so readers take no lock. aliasCache memoizes clusters per (mode,
+	// ID set) content.
+	prober     *alias.Prober
+	aliasCol   alias.Column
 	aliasMu    sync.RWMutex
 	aliasCache map[string][][]ident.IfaceID
 
@@ -203,7 +214,6 @@ func newContext(in Inputs) *Context {
 		vpSlot:     make(map[*pingsim.VP]int32),
 		pseudoVPs:  make(map[string]*pingsim.VP),
 		rings:      make(map[uint64][]ringEntry),
-		resolvers:  make(map[alias.Mode]*alias.Resolver),
 		aliasCache: make(map[string][][]ident.IfaceID),
 		clusters:   make(map[alias.Mode][]cachedRouter),
 	}
@@ -329,6 +339,11 @@ func newContext(in Inputs) *Context {
 	c.colo = registry.NewColoIndex(in.Colo, in.Dataset, c.ids)
 	c.rebuildByASPriv()
 
+	// Interning is complete: probe the whole ID space into the alias
+	// column in one parallel pass.
+	c.prober = alias.NewProber(in.World, in.Seed)
+	c.growColumns()
+
 	return c
 }
 
@@ -386,7 +401,8 @@ func ixpUnion(in Inputs) []string {
 
 // growColumns pads the interface-indexed columns to the current ID
 // space (NaN / -1 sentinel for unmeasured interfaces), extending in
-// bulk rather than element-by-element.
+// bulk rather than element-by-element, and probes newly interned
+// interfaces into the alias column once it is live.
 func (c *Context) growColumns() {
 	n := c.ids.NumIfaces()
 	if old := len(c.rtt); old < n {
@@ -413,6 +429,9 @@ func (c *Context) growColumns() {
 		for i := old; i < n; i++ {
 			c.bestVP[i] = -1
 		}
+	}
+	if c.prober != nil {
+		c.aliasCol.Extend(c.prober, c.ids.Ifaces(), runtime.GOMAXPROCS(0))
 	}
 }
 
@@ -487,19 +506,6 @@ func (c *Context) BestVP(ip netip.Addr) (*pingsim.VP, bool) {
 		return nil, false
 	}
 	return c.vpAt(slot), true
-}
-
-// resolverFor returns the memoized resolver for an alias mode,
-// creating it on first use (construction is cheap and pure).
-func (c *Context) resolverFor(mode alias.Mode) *alias.Resolver {
-	c.aliasMu.Lock()
-	defer c.aliasMu.Unlock()
-	r, ok := c.resolvers[mode]
-	if !ok {
-		r = alias.NewResolver(alias.NewProber(c.in.World, c.in.Seed), mode)
-		c.resolvers[mode] = r
-	}
-	return r
 }
 
 // Inputs returns the inputs the context was built from.
@@ -902,11 +908,10 @@ func (c *Context) facDist(a, b []netsim.FacilityID) (minKm, maxKm float64, ok bo
 
 // resolveIDs memoizes alias resolution per (mode, interface-ID set).
 // ids must be sorted ascending by address (all call sites sort), so
-// equal address multisets share one cache key. Resolution itself runs
-// at the address edge — the resolver probes netip.Addr values — but
-// both the memo key and the cached clusters live in ID space. The
-// returned clusters are shared across runs and must be treated as
-// read-only. keyBuf is scratch for the lookup key (may be nil).
+// equal address multisets share one cache key. A miss resolves in ID
+// space against the alias column. The returned clusters are shared
+// across runs and must be treated as read-only. keyBuf is scratch for
+// the lookup key (may be nil).
 func (c *Context) resolveIDs(mode alias.Mode, ifaceIDs []ident.IfaceID, keyBuf []byte) ([][]ident.IfaceID, []byte) {
 	keyBuf = keyBuf[:0]
 	keyBuf = append(keyBuf, byte(mode))
@@ -923,20 +928,7 @@ func (c *Context) resolveIDs(mode alias.Mode, ifaceIDs []ident.IfaceID, keyBuf [
 
 	// Resolution runs outside the lock: it is pure, so a concurrent
 	// duplicate computes the identical value.
-	addrs := make([]netip.Addr, len(ifaceIDs))
-	for i, id := range ifaceIDs {
-		addrs[i] = c.ids.Addr(id)
-	}
-	clusters := c.resolverFor(mode).Resolve(addrs)
-	res := make([][]ident.IfaceID, len(clusters))
-	for i, cl := range clusters {
-		out := make([]ident.IfaceID, len(cl))
-		for j, ip := range cl {
-			id, _ := c.ids.Iface(ip)
-			out[j] = id
-		}
-		res[i] = out
-	}
+	res := alias.ResolveColumn(mode, &c.aliasCol, ifaceIDs)
 
 	c.aliasMu.Lock()
 	c.aliasCache[string(keyBuf)] = res

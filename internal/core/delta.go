@@ -48,8 +48,9 @@ func (d *Delta) Empty() bool {
 //
 //   - new entities append to the intern table (an interface that
 //     re-joins revives its tombstoned ID) and the ID-indexed columns
-//     grow in place; departing interfaces are tombstoned, never
-//     compacted, so every column and memo stays valid;
+//     grow in place — the alias column probes only the new IDs;
+//     departing interfaces are tombstoned, never compacted, so every
+//     column and memo stays valid;
 //   - the RTT columns are patched per overridden interface; the full
 //     campaign fold is not repeated;
 //   - membership churn re-evaluates only the traceroute corpus's

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"rpeer/internal/alias"
 	"rpeer/internal/netsim"
 	"rpeer/internal/pingsim"
 )
@@ -289,4 +290,65 @@ func TestApplyValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	reportsEqual(t, "rejected deltas must not mutate", before, after)
+}
+
+// TestAliasColumnGrowsWithApply pins the alias column's lifecycle: one
+// fill over the whole ID space at build time, shared by both alias
+// modes, then growth by exactly the newly interned IDs on Apply, with
+// reports still equal to a cold rebuild.
+func TestAliasColumnGrowsWithApply(t *testing.T) {
+	in := deltaInputs(t)
+	ctx, err := NewContext(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := &ctx.aliasCol
+	n0 := ctx.ids.NumIfaces()
+	if col.Len() != n0 || col.Probed() != n0 {
+		t.Fatalf("built column: len %d probed %d, want %d", col.Len(), col.Probed(), n0)
+	}
+
+	prec := DefaultOptions()
+	prec.AliasMode = alias.ModePrecision
+	cov := DefaultOptions()
+	cov.AliasMode = alias.ModeCoverage
+	for _, opt := range []Options{prec, cov} {
+		if _, err := ctx.Run(opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if col.Len() != n0 || col.Probed() != n0 {
+		t.Fatalf("after precision + coverage runs: len %d probed %d, want %d (no second fill)", col.Len(), col.Probed(), n0)
+	}
+
+	d := Delta{Joins: mintJoins(in, 12, make(map[netip.Addr]bool))}
+	for _, j := range d.Joins {
+		if _, ok := ctx.ids.Iface(j.Iface); ok {
+			t.Fatalf("join %v is already interned", j.Iface)
+		}
+	}
+	if err := ctx.Apply(d); err != nil {
+		t.Fatal(err)
+	}
+	n1 := ctx.ids.NumIfaces()
+	if n1 < n0+len(d.Joins) {
+		t.Fatalf("ID space %d after %d new joins over %d", n1, len(d.Joins), n0)
+	}
+	if col.Len() != n1 || col.Probed() != n1 {
+		t.Fatalf("after Apply: len %d probed %d, want %d (tail growth only)", col.Len(), col.Probed(), n1)
+	}
+	for _, opt := range []Options{prec, cov} {
+		warm, err := ctx.Run(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := Run(ctx.Inputs(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reportsEqual(t, "grown/"+opt.AliasMode.String(), cold, warm)
+	}
+	if col.Probed() != n1 {
+		t.Fatalf("runs after Apply probed %d rows, want %d", col.Probed(), n1)
+	}
 }
