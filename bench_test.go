@@ -340,23 +340,6 @@ func BenchmarkExtensionLongitudinal(b *testing.B) {
 	run(b, exp.Sec8Longitudinal)
 }
 
-func BenchmarkWorldSaveLoad(b *testing.B) {
-	e := benchEnv(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := e.World.Save(&buf); err != nil {
-			b.Fatal(err)
-		}
-		w, err := netsim.Load(&buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sink = w
-	}
-}
-
 func BenchmarkParallelPingCampaign(b *testing.B) {
 	e := benchEnv(b)
 	cfg := pingsim.DefaultCampaign()

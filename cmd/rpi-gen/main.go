@@ -81,7 +81,6 @@ func main() {
 	ases := flag.Int("ases", 0, "override number of ASes (0 = default)")
 	ixps := flag.Int("ixps", 0, "override number of IXPs (0 = default)")
 	out := flag.String("o", "", "output file (default stdout; a .rpw suffix writes the binary world bundle instead)")
-	worldOut := flag.String("world", "", "also save the full world (reloadable via netsim.Load) to this file")
 	flag.Parse()
 
 	cfg := netsim.DefaultConfig()
@@ -133,20 +132,6 @@ func main() {
 			Source: st.Source.String(), Prefixes: st.Prefixes,
 			Interfaces: st.Interfaces, Conflicts: st.ConflictInterfaces,
 		})
-	}
-
-	if *worldOut != "" {
-		f, err := os.Create(*worldOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := w.Save(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "rpi-gen: full world saved to %s\n", *worldOut)
 	}
 
 	enc := json.NewEncoder(os.Stdout)

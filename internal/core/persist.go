@@ -32,34 +32,154 @@ import (
 // was dumped — it leans on the engine's existing determinism contract
 // (post-Apply state ≡ cold rebuild over Inputs()).
 
-// Snapshot column names. The iface columns are parallel (one row per
-// live membership, in interned-ID order), as are the port and ping
-// groups.
-const (
-	colIXPName = "ixp.name" // string: local IXP name table
+// Checkpoint tables. The membership and port tables are shared with
+// the world file's dataset section ("ds.if", "ds.port"), the override
+// table with its folded ping aggregates ("agg") and, row by row, with
+// the WAL delta record.
 
-	colIfaceAddr = "iface.addr" // addr: member interface address
-	colIfaceASN  = "iface.asn"  // u32: member ASN
-	colIfaceIXP  = "iface.ixp"  // u32: index into ixp.name
+// IfaceRow is one membership: interface, member ASN and the index of
+// its IXP in the group's name table.
+type IfaceRow struct {
+	Iface netip.Addr
+	ASN   netsim.ASN
+	IXP   uint32
+}
 
-	colPortIXP  = "port.ixp"  // u32: index into ixp.name
-	colPortASN  = "port.asn"  // u32: member ASN
-	colPortMbps = "port.mbps" // u64: reported capacity
+// IfaceTable stores IfaceRows as prefix.addr, prefix.asn and
+// prefix.ixp (indexing the names column).
+func IfaceTable(prefix, names string) snapshot.Table[IfaceRow] {
+	return snapshot.Table[IfaceRow]{
+		snapshot.Addr(prefix+".addr", func(r *IfaceRow) *netip.Addr { return &r.Iface }),
+		snapshot.U32(prefix+".asn", func(r *IfaceRow) *netsim.ASN { return &r.ASN }),
+		snapshot.Index(prefix+".ixp", names, func(r *IfaceRow) *uint32 { return &r.IXP }),
+	}
+}
 
-	colPingAddr  = "ping.addr"  // addr: overridden interface
-	colPingRTT   = "ping.rtt"   // f64: RTTmin (NaN = revoked)
-	colPingVP    = "ping.vp"    // u32: best VP id (NoPingVP = none)
-	colPingFlags = "ping.flags" // u8: rounding flags
-)
+// PortRow is one reported port capacity, keyed by IXP name index and
+// member ASN.
+type PortRow struct {
+	IXP  uint32
+	ASN  netsim.ASN
+	Mbps int
+}
 
-// NoPingVP is the ping.vp sentinel for an override without a vantage
-// point (a measurement revocation).
+// PortTable stores PortRows as prefix.ixp (indexing the names column),
+// prefix.asn and prefix.mbps.
+func PortTable(prefix, names string) snapshot.Table[PortRow] {
+	return snapshot.Table[PortRow]{
+		snapshot.Index(prefix+".ixp", names, func(r *PortRow) *uint32 { return &r.IXP }),
+		snapshot.U32(prefix+".asn", func(r *PortRow) *netsim.ASN { return &r.ASN }),
+		snapshot.U64(prefix+".mbps", func(r *PortRow) *int { return &r.Mbps }),
+	}
+}
+
+// PortRows lists port capacities sorted by (IXP name, ASN).
+func PortRows(ports map[registry.PortKey]int, nameIdx map[string]uint32) []PortRow {
+	keys := make([]registry.PortKey, 0, len(ports))
+	for k := range ports {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].IXP != keys[j].IXP {
+			return keys[i].IXP < keys[j].IXP
+		}
+		return keys[i].ASN < keys[j].ASN
+	})
+	rows := make([]PortRow, len(keys))
+	for i, k := range keys {
+		rows[i] = PortRow{IXP: nameIdx[k.IXP], ASN: k.ASN, Mbps: ports[k]}
+	}
+	return rows
+}
+
+// PortMap rebuilds port capacities from rows read through a PortTable
+// (which has checked every name index).
+func PortMap(rows []PortRow, names []string) map[registry.PortKey]int {
+	ports := make(map[registry.PortKey]int, len(rows))
+	for _, r := range rows {
+		ports[registry.PortKey{IXP: names[r.IXP], ASN: r.ASN}] = r.Mbps
+	}
+	return ports
+}
+
+// NoPingVP is the VP value of an override without a vantage point (a
+// measurement revocation).
 const NoPingVP = ^uint32(0)
 
-// ping.flags bits.
-const (
-	pingFlagBestRoundsUp = 1 << 0
-	pingFlagAnyRounding  = 1 << 1
+// OverrideRow is one persisted per-interface ping aggregate: a
+// checkpoint or WAL override, or a world file's folded aggregate. VP is
+// BestVP's ID (NoPingVP for none); Resolve maps it back.
+type OverrideRow struct {
+	Iface netip.Addr
+	VP    uint32
+	pingsim.Override
+}
+
+// OverrideTable stores OverrideRows as the addr column plus
+// prefix.rtt, prefix.vp and prefix.flags (bit 0 BestRoundsUp, bit 1
+// AnyRounding).
+func OverrideTable(addr, prefix string) snapshot.Table[OverrideRow] {
+	return snapshot.Table[OverrideRow]{
+		snapshot.Addr(addr, func(r *OverrideRow) *netip.Addr { return &r.Iface }),
+		snapshot.F64(prefix+".rtt", func(r *OverrideRow) *float64 { return &r.RTTMinMs }),
+		snapshot.U32(prefix+".vp", func(r *OverrideRow) *uint32 { return &r.VP }),
+		snapshot.Flags(prefix+".flags",
+			func(r *OverrideRow) *bool { return &r.BestRoundsUp },
+			func(r *OverrideRow) *bool { return &r.AnyRounding }),
+	}
+}
+
+// PingTable is the checkpoint's override table; WAL records write the
+// same fields row by row.
+var PingTable = OverrideTable("ping.addr", "ping")
+
+// NewOverrideRow captures an override for persisting.
+func NewOverrideRow(ip netip.Addr, ov pingsim.Override) OverrideRow {
+	r := OverrideRow{Iface: ip, VP: NoPingVP, Override: ov}
+	if ov.BestVP != nil {
+		r.VP = uint32(ov.BestVP.ID)
+	}
+	return r
+}
+
+// OverrideRows lists an override map sorted by address, so the same
+// overlay always persists to the same bytes.
+func OverrideRows(overlay map[netip.Addr]pingsim.Override) []OverrideRow {
+	rows := make([]OverrideRow, 0, len(overlay))
+	for ip, ov := range overlay {
+		rows = append(rows, NewOverrideRow(ip, ov))
+	}
+	sort.Slice(rows, func(i, j int) bool { return rows[i].Iface.Less(rows[j].Iface) })
+	return rows
+}
+
+// Resolve points BestVP at the roster VP the row's VP ID names.
+func (r *OverrideRow) Resolve(byID map[uint32]*pingsim.VP) error {
+	r.BestVP = nil
+	if r.VP == NoPingVP {
+		return nil
+	}
+	if r.BestVP = byID[r.VP]; r.BestVP == nil {
+		return fmt.Errorf("ping override for %s references unknown vantage point %d", r.Iface, r.VP)
+	}
+	return nil
+}
+
+// VPsByID indexes a VP roster by persisted ID.
+func VPsByID(vps []*pingsim.VP) map[uint32]*pingsim.VP {
+	byID := make(map[uint32]*pingsim.VP, len(vps))
+	for _, vp := range vps {
+		byID[uint32(vp.ID)] = vp
+	}
+	return byID
+}
+
+// The checkpoint's IXP name table and the membership and port tables
+// indexing it.
+var (
+	nameTable  = snapshot.Table[string]{snapshot.Str("ixp.name", snapshot.Self[string])}
+	ifaceTable = IfaceTable("iface", "ixp.name")
+	portTable  = PortTable("port", "ixp.name")
 )
 
 // Fingerprint hashes the identifying characteristics of base inputs:
@@ -140,129 +260,29 @@ func (c *Context) DumpColumns() *snapshot.Snap {
 	for k := range ds.Ports {
 		nameSet[k.IXP] = struct{}{}
 	}
-	names := make([]string, 0, len(nameSet))
-	for name := range nameSet {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	nameIdx := make(map[string]uint32, len(names))
-	for i, name := range names {
-		nameIdx[name] = uint32(i)
-	}
+	names, nameIdx := snapshot.Names(nameSet)
 
 	// Membership rows in interned-ID order, skipping tombstones (an
 	// address the intern table knows but the dataset no longer lists
 	// is a departed membership).
-	addrs := c.ids.Ifaces()
-	ifAddr := make([]netip.Addr, 0, len(ds.IfaceIXP))
-	ifASN := make([]uint32, 0, len(ds.IfaceIXP))
-	ifIXP := make([]uint32, 0, len(ds.IfaceIXP))
-	for _, a := range addrs {
-		ixp, ok := ds.IfaceIXP[a]
-		if !ok {
-			continue
+	ifaces := make([]IfaceRow, 0, len(ds.IfaceIXP))
+	for _, a := range c.ids.Ifaces() {
+		if ixp, ok := ds.IfaceIXP[a]; ok {
+			ifaces = append(ifaces, IfaceRow{Iface: a, ASN: ds.IfaceASN[a], IXP: nameIdx[ixp]})
 		}
-		ifAddr = append(ifAddr, a)
-		ifASN = append(ifASN, uint32(ds.IfaceASN[a]))
-		ifIXP = append(ifIXP, nameIdx[ixp])
 	}
 
-	// Port rows sorted by (IXP name, ASN).
-	portKeys := make([]registry.PortKey, 0, len(ds.Ports))
-	for k := range ds.Ports {
-		portKeys = append(portKeys, k)
-	}
-	sort.Slice(portKeys, func(i, j int) bool {
-		if portKeys[i].IXP != portKeys[j].IXP {
-			return portKeys[i].IXP < portKeys[j].IXP
-		}
-		return portKeys[i].ASN < portKeys[j].ASN
-	})
-	portIXP := make([]uint32, len(portKeys))
-	portASN := make([]uint32, len(portKeys))
-	portMbps := make([]uint64, len(portKeys))
-	for i, k := range portKeys {
-		portIXP[i] = nameIdx[k.IXP]
-		portASN[i] = uint32(k.ASN)
-		portMbps[i] = uint64(ds.Ports[k])
-	}
-
-	// Ping override overlay sorted by address.
 	var overlay map[netip.Addr]pingsim.Override
 	if c.in.Ping != nil {
 		overlay = c.in.Ping.Overlay()
 	}
-	pingAddrs := make([]netip.Addr, 0, len(overlay))
-	for ip := range overlay {
-		pingAddrs = append(pingAddrs, ip)
-	}
-	sort.Slice(pingAddrs, func(i, j int) bool { return pingAddrs[i].Less(pingAddrs[j]) })
-	pingRTT := make([]float64, len(pingAddrs))
-	pingVP := make([]uint32, len(pingAddrs))
-	pingFlags := make([]uint8, len(pingAddrs))
-	for i, ip := range pingAddrs {
-		ov := overlay[ip]
-		pingRTT[i] = ov.RTTMinMs
-		pingVP[i] = NoPingVP
-		if ov.BestVP != nil {
-			pingVP[i] = uint32(ov.BestVP.ID)
-		}
-		var fl uint8
-		if ov.BestRoundsUp {
-			fl |= pingFlagBestRoundsUp
-		}
-		if ov.AnyRounding {
-			fl |= pingFlagAnyRounding
-		}
-		pingFlags[i] = fl
-	}
 
 	s := &snapshot.Snap{}
-	s.Add(snapshot.Column{Name: colIXPName, Kind: snapshot.KindString, Str: names})
-	s.Add(snapshot.Column{Name: colIfaceAddr, Kind: snapshot.KindAddr, Addr: ifAddr})
-	s.Add(snapshot.Column{Name: colIfaceASN, Kind: snapshot.KindU32, U32: ifASN})
-	s.Add(snapshot.Column{Name: colIfaceIXP, Kind: snapshot.KindU32, U32: ifIXP})
-	s.Add(snapshot.Column{Name: colPortIXP, Kind: snapshot.KindU32, U32: portIXP})
-	s.Add(snapshot.Column{Name: colPortASN, Kind: snapshot.KindU32, U32: portASN})
-	s.Add(snapshot.Column{Name: colPortMbps, Kind: snapshot.KindU64, U64: portMbps})
-	s.Add(snapshot.Column{Name: colPingAddr, Kind: snapshot.KindAddr, Addr: pingAddrs})
-	s.Add(snapshot.Column{Name: colPingRTT, Kind: snapshot.KindF64, F64: pingRTT})
-	s.Add(snapshot.Column{Name: colPingVP, Kind: snapshot.KindU32, U32: pingVP})
-	s.Add(snapshot.Column{Name: colPingFlags, Kind: snapshot.KindU8, U8: pingFlags})
+	s.Columns = nameTable.AppendSlice(s.Columns, names)
+	s.Columns = ifaceTable.AppendSlice(s.Columns, ifaces)
+	s.Columns = portTable.AppendSlice(s.Columns, PortRows(ds.Ports, nameIdx))
+	s.Columns = PingTable.AppendSlice(s.Columns, OverrideRows(overlay))
 	return s
-}
-
-// col fetches a required snapshot column of the given kind.
-func col(s *snapshot.Snap, name string, kind snapshot.Kind) (*snapshot.Column, error) {
-	c := s.Col(name)
-	if c == nil {
-		return nil, fmt.Errorf("core: snapshot is missing column %q", name)
-	}
-	if c.Kind != kind {
-		return nil, fmt.Errorf("core: snapshot column %q has kind %d, want %d", name, c.Kind, kind)
-	}
-	return c, nil
-}
-
-// colGroup fetches a group of required columns and checks they are
-// parallel (same row count as the first).
-func colGroup(s *snapshot.Snap, specs []struct {
-	name string
-	kind snapshot.Kind
-}) ([]*snapshot.Column, error) {
-	out := make([]*snapshot.Column, len(specs))
-	for i, sp := range specs {
-		c, err := col(s, sp.name, sp.kind)
-		if err != nil {
-			return nil, err
-		}
-		if i > 0 && c.Len() != out[0].Len() {
-			return nil, fmt.Errorf("core: snapshot column %q has %d rows, %q has %d",
-				sp.name, c.Len(), specs[0].name, out[0].Len())
-		}
-		out[i] = c
-	}
-	return out, nil
 }
 
 // RestoreInputs patches the delta-mutable columns of a snapshot over
@@ -270,102 +290,49 @@ func colGroup(s *snapshot.Snap, specs []struct {
 // would report via Inputs(). The base dataset is cloned, never
 // mutated; base.Ping gains the persisted override overlay.
 //
-// Column-level integrity (checksums, truncation) is the snapshot
-// decoder's job; RestoreInputs validates cross-column referential
-// integrity — name-table indexes in range, vantage-point ids known to
-// the base campaign — because a snapshot from a different world can be
-// internally consistent yet reference entities the base lacks.
+// The schema checks each column's presence, kind, row count and name
+// index; RestoreInputs adds what only the base can tell — that every
+// vantage-point id is in the base campaign — because a snapshot from a
+// different world can be internally consistent yet reference entities
+// the base lacks.
 func RestoreInputs(base Inputs, s *snapshot.Snap) (Inputs, error) {
 	if base.Dataset == nil {
 		return Inputs{}, fmt.Errorf("core: restore needs base dataset")
 	}
-	nameCol, err := col(s, colIXPName, snapshot.KindString)
-	if err != nil {
-		return Inputs{}, err
-	}
-	names := nameCol.Str
-
-	ifCols, err := colGroup(s, []struct {
-		name string
-		kind snapshot.Kind
-	}{
-		{colIfaceAddr, snapshot.KindAddr},
-		{colIfaceASN, snapshot.KindU32},
-		{colIfaceIXP, snapshot.KindU32},
-	})
-	if err != nil {
-		return Inputs{}, err
-	}
-	portCols, err := colGroup(s, []struct {
-		name string
-		kind snapshot.Kind
-	}{
-		{colPortIXP, snapshot.KindU32},
-		{colPortASN, snapshot.KindU32},
-		{colPortMbps, snapshot.KindU64},
-	})
-	if err != nil {
-		return Inputs{}, err
-	}
-	pingCols, err := colGroup(s, []struct {
-		name string
-		kind snapshot.Kind
-	}{
-		{colPingAddr, snapshot.KindAddr},
-		{colPingRTT, snapshot.KindF64},
-		{colPingVP, snapshot.KindU32},
-		{colPingFlags, snapshot.KindU8},
-	})
-	if err != nil {
-		return Inputs{}, err
+	g := snapshot.NewGroup(s.Columns)
+	names := nameTable.Read(g)
+	ifaces := ifaceTable.Read(g)
+	ports := portTable.Read(g)
+	pings := PingTable.Read(g)
+	if err := g.Err(); err != nil {
+		return Inputs{}, fmt.Errorf("core: snapshot: %w", err)
 	}
 
 	ds := base.Dataset.Clone()
-	ds.IfaceIXP = make(map[netip.Addr]string, len(ifCols[0].Addr))
-	ds.IfaceASN = make(map[netip.Addr]netsim.ASN, len(ifCols[0].Addr))
-	for i, a := range ifCols[0].Addr {
-		ixpIdx := ifCols[2].U32[i]
-		if int(ixpIdx) >= len(names) {
-			return Inputs{}, fmt.Errorf("core: snapshot membership row %d references IXP index %d of %d", i, ixpIdx, len(names))
-		}
-		ds.IfaceIXP[a] = names[ixpIdx]
-		ds.IfaceASN[a] = netsim.ASN(ifCols[1].U32[i])
+	ds.IfaceIXP = make(map[netip.Addr]string, len(ifaces))
+	ds.IfaceASN = make(map[netip.Addr]netsim.ASN, len(ifaces))
+	for _, r := range ifaces {
+		ds.IfaceIXP[r.Iface] = names[r.IXP]
+		ds.IfaceASN[r.Iface] = r.ASN
 	}
-	ds.Ports = make(map[registry.PortKey]int, len(portCols[0].U32))
-	for i, ixpIdx := range portCols[0].U32 {
-		if int(ixpIdx) >= len(names) {
-			return Inputs{}, fmt.Errorf("core: snapshot port row %d references IXP index %d of %d", i, ixpIdx, len(names))
-		}
-		k := registry.PortKey{IXP: names[ixpIdx], ASN: netsim.ASN(portCols[1].U32[i])}
-		ds.Ports[k] = int(portCols[2].U64[i])
-	}
+	ds.Ports = PortMap(ports, names)
 	base.Dataset = ds
 
-	if n := len(pingCols[0].Addr); n > 0 {
+	if len(pings) > 0 {
 		if base.Ping == nil {
-			return Inputs{}, fmt.Errorf("core: snapshot carries %d ping overrides but base has no campaign", n)
+			return Inputs{}, fmt.Errorf("core: snapshot carries %d ping overrides but base has no campaign", len(pings))
 		}
-		byID := make(map[uint32]*pingsim.VP, len(base.Ping.VPs))
-		for _, vp := range base.Ping.VPs {
-			byID[uint32(vp.ID)] = vp
-		}
-		overlay := make(map[netip.Addr]pingsim.Override, n)
-		for i, ip := range pingCols[0].Addr {
-			ov := pingsim.Override{
-				RTTMinMs:     pingCols[1].F64[i],
-				BestRoundsUp: pingCols[3].U8[i]&pingFlagBestRoundsUp != 0,
-				AnyRounding:  pingCols[3].U8[i]&pingFlagAnyRounding != 0,
+		byID := VPsByID(base.Ping.VPs)
+		overlay := make(map[netip.Addr]pingsim.Override, len(pings))
+		for i := range pings {
+			r := &pings[i]
+			if err := r.Resolve(byID); err != nil {
+				return Inputs{}, fmt.Errorf("core: snapshot %v", err)
 			}
-			if id := pingCols[2].U32[i]; id != NoPingVP {
-				vp, ok := byID[id]
-				if !ok {
-					return Inputs{}, fmt.Errorf("core: snapshot ping override for %s references unknown vantage point %d", ip, id)
-				}
-				ov.BestVP = vp
-			} else if !math.IsNaN(ov.RTTMinMs) {
-				return Inputs{}, fmt.Errorf("core: snapshot ping override for %s is measured (%v ms) but has no vantage point", ip, ov.RTTMinMs)
+			if r.BestVP == nil && !math.IsNaN(r.RTTMinMs) {
+				return Inputs{}, fmt.Errorf("core: snapshot ping override for %s is measured (%v ms) but has no vantage point", r.Iface, r.RTTMinMs)
 			}
-			overlay[ip] = ov
+			overlay[r.Iface] = r.Override
 		}
 		base.Ping = base.Ping.WithOverrides(overlay)
 	}

@@ -95,10 +95,17 @@ func TestRestoreInputsValidation(t *testing.T) {
 		break
 	}
 
+	// Each mutation is re-encoded (recomputing the file CRC), so it gets
+	// past the checksum layer and must be caught by the schema or by
+	// RestoreInputs.
 	mutate := func(f func(s *snapshot.Snap)) error {
 		s := ctx.DumpColumns()
 		f(s)
-		_, err := RestoreInputs(in, s)
+		s, err := snapshot.Decode(s.Encode())
+		if err != nil {
+			return err
+		}
+		_, err = RestoreInputs(in, s)
 		return err
 	}
 	if err := mutate(func(s *snapshot.Snap) {}); err != nil {
@@ -127,6 +134,42 @@ func TestRestoreInputsValidation(t *testing.T) {
 			c.U32[0] = 123456789
 		},
 	}
+	// Schema-driven cases: every column DumpColumns emits is dropped,
+	// shortened by one value, retyped and (index columns) pointed out
+	// of range.
+	var infos []snapshot.ColumnInfo
+	for _, tab := range []interface{ Columns() []snapshot.ColumnInfo }{nameTable, ifaceTable, portTable, PingTable} {
+		infos = append(infos, tab.Columns()...)
+	}
+	if dump := ctx.DumpColumns(); len(dump.Columns) != len(infos) {
+		t.Fatalf("schema lists %d columns, DumpColumns emits %d", len(infos), len(dump.Columns))
+	}
+	for i, info := range infos {
+		cases[info.Name+" dropped"] = func(s *snapshot.Snap) {
+			s.Columns = append(s.Columns[:i], s.Columns[i+1:]...)
+		}
+		cases[info.Name+" shortened"] = func(s *snapshot.Snap) {
+			c := &s.Columns[i]
+			if c.Len() == 0 {
+				t.Fatalf("column %q is empty in the fixture", c.Name)
+			}
+			c.U32, c.U64, c.F64, c.U8 = trim(c.U32), trim(c.U64), trim(c.F64), trim(c.U8)
+			c.Addr, c.Str = trim(c.Addr), trim(c.Str)
+		}
+		cases[info.Name+" retyped"] = func(s *snapshot.Snap) {
+			c := &s.Columns[i]
+			n := c.Len()
+			c.U32, c.U64 = make([]uint32, n), make([]uint64, n)
+			if c.Kind == snapshot.KindU32 {
+				c.Kind = snapshot.KindU64
+			} else {
+				c.Kind = snapshot.KindU32
+			}
+		}
+		if info.Role == snapshot.RoleIndex {
+			cases[info.Name+" out of range"] = func(s *snapshot.Snap) { s.Columns[i].U32[0] = 1 << 30 }
+		}
+	}
 	for name, f := range cases {
 		if err := mutate(f); err == nil {
 			t.Errorf("%s: restore succeeded, want error", name)
@@ -144,4 +187,12 @@ func TestFingerprint(t *testing.T) {
 	if Fingerprint(other) == Fingerprint(in) {
 		t.Fatal("seed change did not move the fingerprint")
 	}
+}
+
+// trim drops a slice's last element (nil stays nil).
+func trim[T any](v []T) []T {
+	if len(v) == 0 {
+		return v
+	}
+	return v[:len(v)-1]
 }

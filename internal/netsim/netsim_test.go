@@ -1,9 +1,7 @@
 package netsim
 
 import (
-	"bytes"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"rpeer/internal/geo"
@@ -340,61 +338,6 @@ func BenchmarkGenerateDefault(b *testing.B) {
 		if _, err := Generate(cfg); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	w1, err := Generate(TinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := w1.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	w2, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(w2.Members) != len(w1.Members) || len(w2.Routers) != len(w1.Routers) ||
-		len(w2.IXPs) != len(w1.IXPs) || len(w2.Facilities) != len(w1.Facilities) {
-		t.Fatal("entity counts differ after round trip")
-	}
-	for i, m1 := range w1.Members {
-		m2 := w2.Members[i]
-		if m1.ASN != m2.ASN || m1.Iface != m2.Iface || m1.Kind != m2.Kind || m1.Router != m2.Router {
-			t.Fatalf("member %d differs: %+v vs %+v", i, m1, m2)
-		}
-	}
-	// Indices rebuilt: interface lookups must work.
-	m := w1.Members[0]
-	if asn, ok := w2.OwnerOf(m.Iface); !ok || asn != m.ASN {
-		t.Fatal("OwnerOf broken after load")
-	}
-	if rid, ok := w2.RouterOf(m.Iface); !ok || rid != m.Router {
-		t.Fatal("RouterOf broken after load")
-	}
-	// Prefix table survived.
-	for _, asn := range w1.ASNs[:50] {
-		if len(w2.ASPrefixes(asn)) != len(w1.ASPrefixes(asn)) {
-			t.Fatalf("AS%d prefixes differ", asn)
-		}
-	}
-	// The latency oracle reproduces identical base RTTs (same seed).
-	r1 := w1.Routers[w1.RouterIDs[0]]
-	r2 := w1.Routers[w1.RouterIDs[len(w1.RouterIDs)/2]]
-	if got, want := w2.Latency().RouterRTT(w2.Router(r1.ID), w2.Router(r2.ID)),
-		w1.Latency().RouterRTT(r1, r2); got != want {
-		t.Fatalf("latency oracle differs after load: %v vs %v", got, want)
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(strings.NewReader("not json")); err == nil {
-		t.Error("want error for junk input")
-	}
-	if _, err := Load(strings.NewReader(`{"version": 99}`)); err == nil {
-		t.Error("want error for unknown version")
 	}
 }
 

@@ -7,9 +7,10 @@ import (
 	"net/netip"
 )
 
-// worldJSON is the on-disk representation of a World. It stores the
-// generated entities verbatim (not the generator config), so a loaded
-// world is usable even if generator defaults change between versions.
+// worldJSON is the JSON dump of a World: the generated entities
+// verbatim, in deterministic order. Save writes it as a structural dump
+// for inspection and comparison; nothing reads it back (the loadable
+// form is the binary world file of internal/worldfile).
 type worldJSON struct {
 	Version    int              `json:"version"`
 	Cfg        Config           `json:"config"`
@@ -31,7 +32,7 @@ type asPrefixesJSON struct {
 
 const worldFormatVersion = 1
 
-// Save serialises the world as JSON.
+// Save writes the world's JSON dump.
 func (w *World) Save(out io.Writer) error {
 	doc := worldJSON{
 		Version:    worldFormatVersion,
@@ -60,45 +61,10 @@ func (w *World) Save(out io.Writer) error {
 	return enc.Encode(doc)
 }
 
-// Load deserialises a world saved with Save, rebuilding all lookup
-// indices and the latency oracle.
-func Load(in io.Reader) (*World, error) {
-	var doc worldJSON
-	if err := json.NewDecoder(in).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("netsim: decode world: %w", err)
-	}
-	if doc.Version != worldFormatVersion {
-		return nil, fmt.Errorf("netsim: unsupported world format version %d", doc.Version)
-	}
-	parts := WorldParts{
-		Cfg:        doc.Cfg,
-		Cities:     doc.Cities,
-		Facilities: doc.Facilities,
-		IXPs:       doc.IXPs,
-		ASes:       doc.ASes,
-		Routers:    doc.Routers,
-		Members:    doc.Members,
-		Private:    doc.Private,
-		Resellers:  doc.Resellers,
-		Prefixes:   make(map[ASN][]netip.Prefix, len(doc.Prefixes)),
-	}
-	for _, e := range doc.Prefixes {
-		for _, s := range e.Prefixes {
-			p, err := netip.ParsePrefix(s)
-			if err != nil {
-				return nil, fmt.Errorf("netsim: AS%d prefix %q: %w", e.ASN, s, err)
-			}
-			parts.Prefixes[e.ASN] = append(parts.Prefixes[e.ASN], p)
-		}
-	}
-	return FromParts(parts)
-}
-
 // WorldParts is the entity-level content of a World: everything a
 // serialised form must carry, none of the derived state (lookup
-// indices, the latency oracle) a loader rebuilds. Both world decoders
-// — the JSON Load above and the binary columnar internal/worldfile —
-// assemble through it.
+// indices, the latency oracle) a loader rebuilds. The binary columnar
+// decoder of internal/worldfile assembles worlds through it.
 type WorldParts struct {
 	Cfg        Config
 	Cities     []City
@@ -159,7 +125,14 @@ func FromParts(parts WorldParts) (*World, error) {
 	for _, as := range parts.ASes {
 		w.ASes[as.ASN] = as
 	}
+	// Router IDs index a dense table (generation numbers them 0..n-1),
+	// so each must be distinct and below the router count.
+	seen := make([]bool, len(parts.Routers))
 	for _, r := range parts.Routers {
+		if r.ID < 0 || int(r.ID) >= len(seen) || seen[r.ID] {
+			return nil, fmt.Errorf("netsim: router id %d is not a distinct id below %d", r.ID, len(seen))
+		}
+		seen[r.ID] = true
 		w.Routers[r.ID] = r
 	}
 	w.lat = newLatency(w, parts.Cfg.Seed)
@@ -171,6 +144,19 @@ func FromParts(parts WorldParts) (*World, error) {
 		}
 		if w.Router(m.Router) == nil {
 			return nil, fmt.Errorf("netsim: member %s references unknown router %d", m.ASN, m.Router)
+		}
+	}
+	// The reseller list names each AS flagged as a reseller, once.
+	listed := make(map[ASN]bool, len(w.Resellers))
+	for _, asn := range w.Resellers {
+		if as := w.ASes[asn]; as == nil || !as.IsReseller || listed[asn] {
+			return nil, fmt.Errorf("netsim: reseller list entry %s is not a distinct reseller AS", asn)
+		}
+		listed[asn] = true
+	}
+	for _, as := range parts.ASes {
+		if as.IsReseller && !listed[as.ASN] {
+			return nil, fmt.Errorf("netsim: reseller %s is missing from the reseller list", as.ASN)
 		}
 	}
 	return w, nil

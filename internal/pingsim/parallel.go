@@ -1,7 +1,6 @@
 package pingsim
 
 import (
-	"math"
 	"math/rand"
 	"net/netip"
 	"runtime"
@@ -56,7 +55,7 @@ func RunParallel(w *netsim.World, vps []*VP, cfg CampaignConfig, workers int) *R
 			for vp := range tasks {
 				src.SetKey(rng.Key3(cfg.Seed, streamRouteServer, uint64(vp.ID), 0))
 				rsRTT := routeServerRTT(w, vp, r)
-				usable := !vp.dead && !math.IsNaN(rsRTT) && rsRTT < 1.0
+				usable := vp.passesRSFilter(rsRTT)
 
 				members := w.MembersOf(vp.IXP)
 				slab := make([]Measurement, len(members))

@@ -393,6 +393,12 @@ func Run(w *netsim.World, vps []*VP, cfg CampaignConfig) *Result {
 	return RunParallel(w, vps, cfg, 1)
 }
 
+// passesRSFilter is the route-server usability filter: a live VP whose
+// route-server RTT is sub-millisecond sits on the peering LAN.
+func (vp *VP) passesRSFilter(rsRTT float64) bool {
+	return !vp.dead && !math.IsNaN(rsRTT) && rsRTT < 1.0
+}
+
 // routeServerRTT simulates the VP's ping to the IXP route server.
 func routeServerRTT(w *netsim.World, vp *VP, rng *rand.Rand) float64 {
 	if vp.dead {

@@ -56,7 +56,25 @@ func RestoredResult(vps []*VP, usableIDs []int, rsRTT map[int]float64, aggs map[
 		if vp == nil {
 			return nil, fmt.Errorf("pingsim: restore: usable VP %d is not in the roster", id)
 		}
+		if i > 0 && id <= usableIDs[i-1] {
+			return nil, fmt.Errorf("pingsim: restore: usable VPs not in ascending ID order at %d", id)
+		}
 		usable[i] = vp
+	}
+	// The usable set is exactly the roster's route-server filter.
+	want := 0
+	for _, vp := range vps {
+		if vp.passesRSFilter(rsRTT[vp.ID]) {
+			want++
+		}
+	}
+	for _, vp := range usable {
+		if !vp.passesRSFilter(rsRTT[vp.ID]) {
+			return nil, fmt.Errorf("pingsim: restore: usable VP %d fails the route-server filter", vp.ID)
+		}
+	}
+	if want != len(usable) {
+		return nil, fmt.Errorf("pingsim: restore: %d usable VPs listed, the route-server filter passes %d", len(usable), want)
 	}
 	for ip, a := range aggs {
 		if a == nil {

@@ -108,9 +108,6 @@ type Snap struct {
 	Columns     []Column
 }
 
-// Add appends a column.
-func (s *Snap) Add(c Column) { s.Columns = append(s.Columns, c) }
-
 // Col returns the named column, or nil.
 func (s *Snap) Col(name string) *Column {
 	for i := range s.Columns {
@@ -136,8 +133,7 @@ func (s *Snap) Encode() []byte {
 }
 
 func appendColumn(b []byte, c *Column) []byte {
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(c.Name)))
-	b = append(b, c.Name...)
+	b = appendStr(b, c.Name)
 	b = append(b, byte(c.Kind))
 	b = binary.LittleEndian.AppendUint32(b, uint32(c.Len()))
 	switch c.Kind {
@@ -157,14 +153,11 @@ func appendColumn(b []byte, c *Column) []byte {
 		b = append(b, c.U8...)
 	case KindAddr:
 		for _, a := range c.Addr {
-			raw := a.AsSlice()
-			b = append(b, byte(len(raw)))
-			b = append(b, raw...)
+			b = appendAddr(b, a)
 		}
 	case KindString:
 		for _, v := range c.Str {
-			b = binary.LittleEndian.AppendUint16(b, uint16(len(v)))
-			b = append(b, v...)
+			b = appendStr(b, v)
 		}
 	}
 	return b
@@ -187,71 +180,70 @@ func EncodeColumns(cols []Column) []byte {
 // DecodeColumns parses a column group written by EncodeColumns. The
 // whole payload must be consumed; trailing garbage is an error.
 func DecodeColumns(data []byte) ([]Column, error) {
-	d := &dec{b: data}
-	nCols := int(d.u32())
-	cols := make([]Column, 0, nCols)
-	for i := 0; i < nCols && d.err == nil; i++ {
-		c, err := decodeColumn(d)
-		if err != nil {
-			return nil, err
-		}
-		cols = append(cols, c)
+	rd := NewReader(data)
+	cols := decodeColumns(rd)
+	if rd.err == nil && rd.Len() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes after column group", ErrInvalid, rd.Len())
 	}
-	if d.err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalid, d.err)
-	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after column group", ErrInvalid, len(d.b))
+	if rd.err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInvalid, rd.err)
 	}
 	return cols, nil
 }
 
-// decodeColumn parses one column off the reader. Kind errors are
-// returned directly; length errors surface through d.err.
-func decodeColumn(d *dec) (Column, error) {
-	c := Column{}
-	c.Name = string(d.take(int(d.u16())))
-	c.Kind = Kind(d.u8())
-	n := int(d.u32())
-	switch c.Kind {
-	case KindU32:
-		c.U32 = make([]uint32, n)
-		for j := range c.U32 {
-			c.U32[j] = d.u32()
+// minSize is each kind's smallest encoded value, the bound Count
+// checks a column's value count against.
+var minSize = [...]int{KindU32: 4, KindU64: 8, KindF64: 8, KindU8: 1, KindAddr: 5, KindString: 2}
+
+// decodeColumns reads a u32 column count and the columns.
+func decodeColumns(rd *Reader) []Column {
+	cols := make([]Column, rd.Count(2+1+4))
+	for i := range cols {
+		c := &cols[i]
+		c.Name = rd.Str()
+		c.Kind = Kind(rd.U8())
+		if c.Kind < KindU32 || c.Kind > KindString {
+			rd.fail(fmt.Errorf("column %q has unknown kind %d", c.Name, c.Kind))
+			return nil
 		}
-	case KindU64:
-		c.U64 = make([]uint64, n)
-		for j := range c.U64 {
-			c.U64[j] = d.u64()
-		}
-	case KindF64:
-		c.F64 = make([]float64, n)
-		for j := range c.F64 {
-			c.F64[j] = math.Float64frombits(d.u64())
-		}
-	case KindU8:
-		c.U8 = append([]uint8(nil), d.take(n)...)
-	case KindAddr:
-		c.Addr = make([]netip.Addr, n)
-		for j := range c.Addr {
-			raw := d.take(int(d.u8()))
-			a, ok := netip.AddrFromSlice(raw)
-			if !ok && d.err == nil {
-				d.err = fmt.Errorf("bad address of %d bytes", len(raw))
+		n := rd.Count(minSize[c.Kind])
+		switch c.Kind {
+		case KindU32:
+			raw := rd.Bytes(4 * n) // Count checked that it fits
+			c.U32 = make([]uint32, n)
+			for j := range c.U32 {
+				c.U32[j] = binary.LittleEndian.Uint32(raw[4*j:])
 			}
-			c.Addr[j] = a
+		case KindU64:
+			raw := rd.Bytes(8 * n)
+			c.U64 = make([]uint64, n)
+			for j := range c.U64 {
+				c.U64[j] = binary.LittleEndian.Uint64(raw[8*j:])
+			}
+		case KindF64:
+			raw := rd.Bytes(8 * n)
+			c.F64 = make([]float64, n)
+			for j := range c.F64 {
+				c.F64[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*j:]))
+			}
+		case KindU8:
+			c.U8 = append([]uint8(nil), rd.Bytes(n)...)
+		case KindAddr:
+			c.Addr = make([]netip.Addr, n)
+			for j := range c.Addr {
+				c.Addr[j] = rd.Addr()
+			}
+		case KindString:
+			c.Str = make([]string, n)
+			for j := range c.Str {
+				c.Str[j] = rd.Str()
+			}
 		}
-	case KindString:
-		c.Str = make([]string, n)
-		for j := range c.Str {
-			c.Str[j] = string(d.take(int(d.u16())))
-		}
-	default:
-		if d.err == nil {
-			return c, fmt.Errorf("%w: unknown column kind %d", ErrInvalid, c.Kind)
+		if rd.err != nil {
+			return nil
 		}
 	}
-	return c, nil
+	return cols
 }
 
 // Decode parses and validates a snapshot file image.
@@ -266,74 +258,16 @@ func Decode(data []byte) (*Snap, error) {
 	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(tail) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrInvalid)
 	}
-	d := &dec{b: body[len(Magic):]}
-	ver := d.u32()
-	if ver > FormatVersion {
+	rd := NewReader(body[len(Magic):])
+	if ver := rd.U32(); ver > FormatVersion {
 		return nil, fmt.Errorf("%w: format v%d newer than supported v%d", ErrInvalid, ver, FormatVersion)
 	}
-	s := &Snap{Seq: d.u64(), Fingerprint: d.u64()}
-	nCols := int(d.u32())
-	for i := 0; i < nCols && d.err == nil; i++ {
-		c, err := decodeColumn(d)
-		if err != nil {
-			return nil, err
-		}
-		s.Columns = append(s.Columns, c)
-	}
-	if d.err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalid, d.err)
+	s := &Snap{Seq: rd.U64(), Fingerprint: rd.U64()}
+	s.Columns = decodeColumns(rd)
+	if rd.err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInvalid, rd.err)
 	}
 	return s, nil
-}
-
-// dec is a bounds-checked little-endian reader.
-type dec struct {
-	b   []byte
-	err error
-}
-
-func (d *dec) take(n int) []byte {
-	if d.err != nil || n < 0 || n > len(d.b) {
-		if d.err == nil {
-			d.err = io.ErrUnexpectedEOF
-		}
-		return nil
-	}
-	out := d.b[:n]
-	d.b = d.b[n:]
-	return out
-}
-
-func (d *dec) u8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *dec) u16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (d *dec) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (d *dec) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
 }
 
 // ---------------------------------------------------------------------------
@@ -342,7 +276,6 @@ func (d *dec) u64() uint64 {
 const (
 	filePrefix = "snap-"
 	fileSuffix = ".rpisnap"
-	tmpSuffix  = ".tmp"
 )
 
 // FileName returns the published name of a snapshot at seq.
@@ -363,38 +296,12 @@ func seqOf(name string) (uint64, bool) {
 	return seq, true
 }
 
-// Write publishes a snapshot into dir atomically: tmp file, fsync,
-// rename to the seq-derived name, directory fsync. On any error the
-// tmp file is removed (best-effort) and nothing is published.
+// Write publishes a snapshot into dir atomically (wal.Publish) under
+// its seq-derived name and returns the published path.
 func Write(fsys wal.FS, dir string, s *Snap) (string, error) {
-	name := FileName(s.Seq)
-	tmp := dir + "/" + name + tmpSuffix
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return "", fmt.Errorf("snapshot: create %s: %w", tmp, err)
-	}
-	cleanup := func() { _ = fsys.Remove(tmp) }
-	if _, err := f.Write(s.Encode()); err != nil {
-		f.Close()
-		cleanup()
-		return "", fmt.Errorf("snapshot: write %s: %w", tmp, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		cleanup()
-		return "", fmt.Errorf("snapshot: sync %s: %w", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		cleanup()
-		return "", fmt.Errorf("snapshot: close %s: %w", tmp, err)
-	}
-	final := dir + "/" + name
-	if err := fsys.Rename(tmp, final); err != nil {
-		cleanup()
-		return "", fmt.Errorf("snapshot: publish %s: %w", name, err)
-	}
-	if err := fsys.SyncDir(dir); err != nil {
-		return "", fmt.Errorf("snapshot: sync dir after publishing %s: %w", name, err)
+	final := dir + "/" + FileName(s.Seq)
+	if err := wal.Publish(fsys, final, s.Encode()); err != nil {
+		return "", fmt.Errorf("snapshot: %w", err)
 	}
 	return final, nil
 }
@@ -405,9 +312,9 @@ type Entry struct {
 	Seq  uint64
 }
 
-// List returns the published snapshots in dir, newest (highest seq)
+// entries returns the published snapshots in dir, newest (highest seq)
 // first. Tmp leftovers and foreign files are ignored.
-func List(fsys wal.FS, dir string) ([]Entry, error) {
+func entries(fsys wal.FS, dir string) ([]Entry, error) {
 	names, err := fsys.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -442,11 +349,11 @@ func Load(fsys wal.FS, dir, name string) (*Snap, error) {
 // damaged columns — and their names are reported in skipped. ok is
 // false when no valid snapshot exists.
 func Latest(fsys wal.FS, dir string, maxSeq uint64) (s *Snap, name string, skipped []string, ok bool, err error) {
-	entries, err := List(fsys, dir)
+	list, err := entries(fsys, dir)
 	if err != nil {
 		return nil, "", nil, false, err
 	}
-	for _, e := range entries {
+	for _, e := range list {
 		if e.Seq > maxSeq {
 			continue
 		}

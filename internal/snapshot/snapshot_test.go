@@ -9,17 +9,17 @@ import (
 )
 
 func sample() *Snap {
-	s := &Snap{Seq: 12, Fingerprint: 0xfeedface}
-	s.Add(Column{Name: "iface.addr", Kind: KindAddr, Addr: []netip.Addr{
-		netip.MustParseAddr("185.0.0.9"),
-		netip.MustParseAddr("2001:db8::1"),
-	}})
-	s.Add(Column{Name: "iface.asn", Kind: KindU32, U32: []uint32{64500, 64501}})
-	s.Add(Column{Name: "ping.rtt", Kind: KindF64, F64: []float64{0.42, 117.5}})
-	s.Add(Column{Name: "ixp.names", Kind: KindString, Str: []string{"Frankfurt-IX", "Tokyo-IX"}})
-	s.Add(Column{Name: "flags", Kind: KindU8, U8: []uint8{1, 0}})
-	s.Add(Column{Name: "seqs", Kind: KindU64, U64: []uint64{1, 1 << 40}})
-	return s
+	return &Snap{Seq: 12, Fingerprint: 0xfeedface, Columns: []Column{
+		{Name: "iface.addr", Kind: KindAddr, Addr: []netip.Addr{
+			netip.MustParseAddr("185.0.0.9"),
+			netip.MustParseAddr("2001:db8::1"),
+		}},
+		{Name: "iface.asn", Kind: KindU32, U32: []uint32{64500, 64501}},
+		{Name: "ping.rtt", Kind: KindF64, F64: []float64{0.42, 117.5}},
+		{Name: "ixp.names", Kind: KindString, Str: []string{"Frankfurt-IX", "Tokyo-IX"}},
+		{Name: "flags", Kind: KindU8, U8: []uint8{1, 0}},
+		{Name: "seqs", Kind: KindU64, U64: []uint64{1, 1 << 40}},
+	}}
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -141,6 +141,22 @@ func TestPublishIsAtomic(t *testing.T) {
 			if got.Seq != 8 {
 				t.Fatalf("clean write at op %d left old snapshot current", crashAt)
 			}
+		}
+	}
+}
+
+// TestHugeCountRejected: a decoded count must not size an allocation
+// before it is checked against the bytes left. Each input claims ~4G
+// values in a few bytes; the decoder must answer ErrInvalid instead of
+// trying to allocate tens of gigabytes.
+func TestHugeCountRejected(t *testing.T) {
+	for name, b := range map[string][]byte{
+		// 1 column "huge", KindF64, 0xFFFFFFFF values: 15 bytes.
+		"values":  {1, 0, 0, 0, 4, 0, 'h', 'u', 'g', 'e', byte(KindF64), 0xff, 0xff, 0xff, 0xff},
+		"columns": {0xff, 0xff, 0xff, 0xff},
+	} {
+		if _, err := DecodeColumns(b); !errors.Is(err, ErrInvalid) {
+			t.Errorf("%s: err = %v, want ErrInvalid", name, err)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -80,4 +81,34 @@ func (osFS) SyncDir(dir string) error {
 	}
 	defer d.Close()
 	return d.Sync()
+}
+
+// Publish writes data to path atomically: a .tmp file is written,
+// fsynced and renamed into place, then the directory is fsynced, so a
+// crash at any point leaves either the old file or the complete new
+// one. On error the tmp file is removed (best-effort) and nothing is
+// published.
+func Publish(fsys FS, path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := fsys.Create(tmp)
+	if err != nil {
+		return fmt.Errorf("create %s: %w", tmp, err)
+	}
+	if _, err = f.Write(data); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = fsys.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = fsys.Remove(tmp)
+		return fmt.Errorf("write %s: %w", tmp, err)
+	}
+	if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("sync dir after publishing %s: %w", path, err)
+	}
+	return nil
 }

@@ -16,200 +16,27 @@ import (
 	"rpeer/internal/traix"
 )
 
-// This file maps each input bundle component to and from its section's
-// column group. Encoding is deterministic: map-backed data is emitted
-// in sorted natural-key order, slice-backed data in slice order (which
-// generation fixes), so the same bundle always encodes byte-identical.
-// Decoding validates every cross-column length and reference and
-// reports failures through ErrInvalid — the checksum layer has already
-// run, so anything caught here is a malformed writer, not bit rot.
+// This file declares each section's entity tables in the snapshot
+// schema and maps the input bundle onto them. Encoding is
+// deterministic: map-backed data is emitted in sorted natural-key
+// order, slice-backed data in slice order (which generation fixes), so
+// the same bundle always encodes byte-identical. The schema checks
+// every column's kind, row count, list length and name index; the
+// decoders here add the checks only the bundle can make (VP references,
+// speed-model sanity). Failures wrap ErrInvalid — the checksum layer
+// has already run, so anything caught here is a malformed writer, not
+// bit rot.
 
-// Variable-length list convention: a list-valued field of an entity
-// table is stored as a parallel "<name>.n" u32 count column plus a flat
-// "<name>" value column whose length is the sum of counts.
+// invalid wraps a schema or bundle error as ErrInvalid.
+func invalid(err error) error { return fmt.Errorf("%w: %v", ErrInvalid, err) }
 
-// ---------------------------------------------------------------------------
-// Column-group plumbing
-
-// colset accumulates a section's columns in encode order.
-type colset struct{ cols []snapshot.Column }
-
-func (c *colset) u32(name string, v []uint32) {
-	c.cols = append(c.cols, snapshot.Column{Name: name, Kind: snapshot.KindU32, U32: v})
-}
-func (c *colset) u64(name string, v []uint64) {
-	c.cols = append(c.cols, snapshot.Column{Name: name, Kind: snapshot.KindU64, U64: v})
-}
-func (c *colset) f64(name string, v []float64) {
-	c.cols = append(c.cols, snapshot.Column{Name: name, Kind: snapshot.KindF64, F64: v})
-}
-func (c *colset) u8(name string, v []uint8) {
-	c.cols = append(c.cols, snapshot.Column{Name: name, Kind: snapshot.KindU8, U8: v})
-}
-func (c *colset) addr(name string, v []netip.Addr) {
-	c.cols = append(c.cols, snapshot.Column{Name: name, Kind: snapshot.KindAddr, Addr: v})
-}
-func (c *colset) str(name string, v []string) {
-	c.cols = append(c.cols, snapshot.Column{Name: name, Kind: snapshot.KindString, Str: v})
-}
-func (c *colset) encode() []byte { return snapshot.EncodeColumns(c.cols) }
-
-// secdec is the section decoder: name-indexed columns with sticky
-// error accumulation, so decode code reads top-to-bottom and checks
-// err once per logical block.
-type secdec struct {
-	cols map[string]*snapshot.Column
-	err  error
-}
-
-func newSecdec(payload []byte) (*secdec, error) {
-	cols, err := snapshot.DecodeColumns(payload)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
+// ptrs returns pointers to the elements of a decoded row slab.
+func ptrs[T any](slab []T) []*T {
+	out := make([]*T, len(slab))
+	for i := range slab {
+		out[i] = &slab[i]
 	}
-	d := &secdec{cols: make(map[string]*snapshot.Column, len(cols))}
-	for i := range cols {
-		d.cols[cols[i].Name] = &cols[i]
-	}
-	return d, nil
-}
-
-func (d *secdec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: %s", ErrInvalid, fmt.Sprintf(format, args...))
-	}
-}
-
-func (d *secdec) col(name string, kind snapshot.Kind) *snapshot.Column {
-	c := d.cols[name]
-	if c == nil {
-		d.fail("missing column %q", name)
-		return nil
-	}
-	if c.Kind != kind {
-		d.fail("column %q has kind %d, want %d", name, c.Kind, kind)
-		return nil
-	}
-	return c
-}
-
-func (d *secdec) u32(name string) []uint32 {
-	if c := d.col(name, snapshot.KindU32); c != nil {
-		return c.U32
-	}
-	return nil
-}
-func (d *secdec) u64(name string) []uint64 {
-	if c := d.col(name, snapshot.KindU64); c != nil {
-		return c.U64
-	}
-	return nil
-}
-func (d *secdec) f64(name string) []float64 {
-	if c := d.col(name, snapshot.KindF64); c != nil {
-		return c.F64
-	}
-	return nil
-}
-func (d *secdec) u8(name string) []uint8 {
-	if c := d.col(name, snapshot.KindU8); c != nil {
-		return c.U8
-	}
-	return nil
-}
-func (d *secdec) addrs(name string) []netip.Addr {
-	if c := d.col(name, snapshot.KindAddr); c != nil {
-		return c.Addr
-	}
-	return nil
-}
-func (d *secdec) strs(name string) []string {
-	if c := d.col(name, snapshot.KindString); c != nil {
-		return c.Str
-	}
-	return nil
-}
-
-// rows checks that the named columns are parallel and returns the
-// shared row count.
-func (d *secdec) rows(names ...string) int {
-	if d.err != nil {
-		return 0
-	}
-	n := -1
-	for _, name := range names {
-		c := d.cols[name]
-		if c == nil {
-			d.fail("missing column %q", name)
-			return 0
-		}
-		if n == -1 {
-			n = c.Len()
-		} else if c.Len() != n {
-			d.fail("column %q has %d rows, %q has %d", name, c.Len(), names[0], n)
-			return 0
-		}
-	}
-	return n
-}
-
-// flatLen checks a flat list column's length against the sum of its
-// count column.
-func (d *secdec) flatLen(counts []uint32, flat string) {
-	if d.err != nil {
-		return
-	}
-	sum := 0
-	for _, n := range counts {
-		sum += int(n)
-	}
-	if c := d.cols[flat]; c == nil {
-		d.fail("missing column %q", flat)
-	} else if c.Len() != sum {
-		d.fail("column %q has %d values, counts sum to %d", flat, c.Len(), sum)
-	}
-}
-
-// packAddrs encodes addresses as u8-length-prefixed raw bytes inside a
-// KindU8 column — length zero meaning the zero netip.Addr, which
-// KindAddr cannot represent (non-responding traceroute hops, VPs whose
-// management address assignment failed).
-func packAddrs(addrs []netip.Addr) []uint8 {
-	b := make([]uint8, 0, len(addrs)*5)
-	for _, a := range addrs {
-		raw := a.AsSlice()
-		b = append(b, uint8(len(raw)))
-		b = append(b, raw...)
-	}
-	return b
-}
-
-func unpackAddrs(b []uint8, n int) ([]netip.Addr, error) {
-	out := make([]netip.Addr, 0, n)
-	for i := 0; i < n; i++ {
-		if len(b) < 1 {
-			return nil, fmt.Errorf("%w: packed address column exhausted at row %d of %d", ErrInvalid, i, n)
-		}
-		l := int(b[0])
-		b = b[1:]
-		if l > len(b) {
-			return nil, fmt.Errorf("%w: packed address row %d claims %d bytes, %d remain", ErrInvalid, i, l, len(b))
-		}
-		if l == 0 {
-			out = append(out, netip.Addr{})
-			continue
-		}
-		a, ok := netip.AddrFromSlice(b[:l])
-		if !ok {
-			return nil, fmt.Errorf("%w: packed address row %d has bad length %d", ErrInvalid, i, l)
-		}
-		out = append(out, a)
-		b = b[l:]
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes in packed address column", ErrInvalid, len(b))
-	}
-	return out, nil
+	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -234,498 +61,186 @@ func decodeConfig(payload []byte) (netsim.Config, error) {
 // ---------------------------------------------------------------------------
 // world
 
-// ixp.flags / as.flags / vp.flags bits.
-const (
-	ixpFlagResellers = 1 << 0
-	ixpFlagLG        = 1 << 1
-	ixpFlagWideArea  = 1 << 2
+type pfxRow struct {
+	ASN    netsim.ASN
+	Prefix netip.Prefix
+}
 
-	asFlagReseller = 1 << 0
-
-	vpFlagRoundsUp = 1 << 0
-	vpFlagMgmtLAN  = 1 << 1
-	vpFlagDead     = 1 << 2
-
-	aggFlagBestRoundsUp = 1 << 0
-	aggFlagAnyRounding  = 1 << 1
+var (
+	cityTable = snapshot.Table[netsim.City]{
+		snapshot.Str("city.name", func(c *netsim.City) *string { return &c.Name }),
+		snapshot.Str("city.country", func(c *netsim.City) *string { return &c.Country }),
+		snapshot.F64("city.lat", func(c *netsim.City) *float64 { return &c.Loc.Lat }),
+		snapshot.F64("city.lon", func(c *netsim.City) *float64 { return &c.Loc.Lon }),
+		snapshot.F64("city.weight", func(c *netsim.City) *float64 { return &c.Weight }),
+	}
+	facTable = snapshot.Table[netsim.Facility]{
+		snapshot.U32("fac.id", func(f *netsim.Facility) *netsim.FacilityID { return &f.ID }),
+		snapshot.Str("fac.name", func(f *netsim.Facility) *string { return &f.Name }),
+		snapshot.Str("fac.city", func(f *netsim.Facility) *string { return &f.City }),
+		snapshot.Str("fac.country", func(f *netsim.Facility) *string { return &f.Country }),
+		snapshot.F64("fac.lat", func(f *netsim.Facility) *float64 { return &f.Loc.Lat }),
+		snapshot.F64("fac.lon", func(f *netsim.Facility) *float64 { return &f.Loc.Lon }),
+	}
+	ixpTable = snapshot.Table[netsim.IXP]{
+		snapshot.U32("ixp.id", func(x *netsim.IXP) *netsim.IXPID { return &x.ID }),
+		snapshot.Str("ixp.name", func(x *netsim.IXP) *string { return &x.Name }),
+		snapshot.Prefix("ixp.lan", func(x *netsim.IXP) *netip.Prefix { return &x.PeeringLAN }),
+		snapshot.Prefix("ixp.mgmt", func(x *netsim.IXP) *netip.Prefix { return &x.MgmtLAN }),
+		snapshot.Addr("ixp.rs", func(x *netsim.IXP) *netip.Addr { return &x.RouteServer }),
+		snapshot.U32("ixp.minport", func(x *netsim.IXP) *int { return &x.MinPortMbps }),
+		snapshot.U32("ixp.fed", func(x *netsim.IXP) *int { return &x.FederationID }),
+		snapshot.U32("ixp.atlas", func(x *netsim.IXP) *int { return &x.AtlasProbes }),
+		snapshot.Flags("ixp.flags",
+			func(x *netsim.IXP) *bool { return &x.AllowsResellers },
+			func(x *netsim.IXP) *bool { return &x.HasLG },
+			func(x *netsim.IXP) *bool { return &x.WideArea }),
+		snapshot.U32List("ixp.facs", func(x *netsim.IXP) *[]netsim.FacilityID { return &x.Facilities }),
+		snapshot.U32List("ixp.portopts", func(x *netsim.IXP) *[]int { return &x.PortOptionsMbps }),
+	}
+	asTable = snapshot.Table[netsim.AS]{
+		snapshot.U32("as.asn", func(a *netsim.AS) *netsim.ASN { return &a.ASN }),
+		snapshot.Str("as.name", func(a *netsim.AS) *string { return &a.Name }),
+		snapshot.Str("as.country", func(a *netsim.AS) *string { return &a.Country }),
+		snapshot.Str("as.homecity", func(a *netsim.AS) *string { return &a.HomeCity }),
+		snapshot.F64("as.homelat", func(a *netsim.AS) *float64 { return &a.HomeLoc.Lat }),
+		snapshot.F64("as.homelon", func(a *netsim.AS) *float64 { return &a.HomeLoc.Lon }),
+		snapshot.F64("as.traffic", func(a *netsim.AS) *float64 { return &a.TrafficMbps }),
+		snapshot.U8("as.tier", func(a *netsim.AS) *int { return &a.Tier }),
+		snapshot.Flags("as.flags", func(a *netsim.AS) *bool { return &a.IsReseller }),
+		snapshot.U32List("as.facs", func(a *netsim.AS) *[]netsim.FacilityID { return &a.Facilities }),
+		snapshot.U32List("as.providers", func(a *netsim.AS) *[]netsim.ASN { return &a.Providers }),
+		snapshot.U32List("as.pops", func(a *netsim.AS) *[]netsim.FacilityID { return &a.ResellerPOPs }),
+	}
+	rtrTable = snapshot.Table[netsim.Router]{
+		snapshot.U32("rtr.id", func(r *netsim.Router) *netsim.RouterID { return &r.ID }),
+		snapshot.U32("rtr.owner", func(r *netsim.Router) *netsim.ASN { return &r.Owner }),
+		snapshot.U32("rtr.fac", func(r *netsim.Router) *netsim.FacilityID { return &r.Facility }),
+		snapshot.F64("rtr.lat", func(r *netsim.Router) *float64 { return &r.Loc.Lat }),
+		snapshot.F64("rtr.lon", func(r *netsim.Router) *float64 { return &r.Loc.Lon }),
+		snapshot.U32("rtr.ipidinit", func(r *netsim.Router) *uint32 { return &r.IPIDInit }),
+		snapshot.F64("rtr.ipidrate", func(r *netsim.Router) *float64 { return &r.IPIDRate }),
+		snapshot.AddrList("rtr.ifaces", func(r *netsim.Router) *[]netip.Addr { return &r.Ifaces }),
+		snapshot.U32List("rtr.ixps", func(r *netsim.Router) *[]netsim.IXPID { return &r.IXPs }),
+	}
+	memTable = snapshot.Table[netsim.Member]{
+		snapshot.U32("mem.asn", func(m *netsim.Member) *netsim.ASN { return &m.ASN }),
+		snapshot.U32("mem.ixp", func(m *netsim.Member) *netsim.IXPID { return &m.IXP }),
+		snapshot.Addr("mem.iface", func(m *netsim.Member) *netip.Addr { return &m.Iface }),
+		snapshot.U32("mem.router", func(m *netsim.Member) *netsim.RouterID { return &m.Router }),
+		snapshot.U32("mem.port", func(m *netsim.Member) *int { return &m.PortMbps }),
+		snapshot.U8("mem.kind", func(m *netsim.Member) *netsim.ConnKind { return &m.Kind }),
+		snapshot.U32("mem.reseller", func(m *netsim.Member) *netsim.ASN { return &m.Reseller }),
+		snapshot.U32("mem.viafed", func(m *netsim.Member) *netsim.IXPID { return &m.ViaFed }),
+	}
+	privTable = snapshot.Table[netsim.PrivateLink]{
+		snapshot.U32("priv.a", func(p *netsim.PrivateLink) *netsim.RouterID { return &p.A }),
+		snapshot.U32("priv.b", func(p *netsim.PrivateLink) *netsim.RouterID { return &p.B }),
+		snapshot.Addr("priv.aiface", func(p *netsim.PrivateLink) *netip.Addr { return &p.AIface }),
+		snapshot.Addr("priv.biface", func(p *netsim.PrivateLink) *netip.Addr { return &p.BIface }),
+		snapshot.U32("priv.fac", func(p *netsim.PrivateLink) *netsim.FacilityID { return &p.Facility }),
+	}
+	resellerTable = snapshot.Table[netsim.ASN]{snapshot.U32("reseller.asn", snapshot.Self[netsim.ASN])}
+	pfxTable      = snapshot.Table[pfxRow]{
+		snapshot.U32("pfx.asn", func(p *pfxRow) *netsim.ASN { return &p.ASN }),
+		snapshot.Prefix("pfx.prefix", func(p *pfxRow) *netip.Prefix { return &p.Prefix }),
+	}
 )
 
-// noVP is the agg.vp / rs sentinel for "no vantage point".
-const noVP = ^uint32(0)
-
-func encodeWorld(w *netsim.World) ([]byte, error) {
+func encodeWorld(w *netsim.World) []byte {
 	p := w.Parts()
-	var c colset
-
-	// Cities.
-	n := len(p.Cities)
-	cityName := make([]string, n)
-	cityCountry := make([]string, n)
-	cityLat := make([]float64, n)
-	cityLon := make([]float64, n)
-	cityWeight := make([]float64, n)
-	for i, ct := range p.Cities {
-		cityName[i], cityCountry[i] = ct.Name, ct.Country
-		cityLat[i], cityLon[i], cityWeight[i] = ct.Loc.Lat, ct.Loc.Lon, ct.Weight
-	}
-	c.str("city.name", cityName)
-	c.str("city.country", cityCountry)
-	c.f64("city.lat", cityLat)
-	c.f64("city.lon", cityLon)
-	c.f64("city.weight", cityWeight)
-
-	// Facilities.
-	n = len(p.Facilities)
-	facID := make([]uint32, n)
-	facName := make([]string, n)
-	facCity := make([]string, n)
-	facCountry := make([]string, n)
-	facLat := make([]float64, n)
-	facLon := make([]float64, n)
-	for i, f := range p.Facilities {
-		facID[i] = uint32(f.ID)
-		facName[i], facCity[i], facCountry[i] = f.Name, f.City, f.Country
-		facLat[i], facLon[i] = f.Loc.Lat, f.Loc.Lon
-	}
-	c.u32("fac.id", facID)
-	c.str("fac.name", facName)
-	c.str("fac.city", facCity)
-	c.str("fac.country", facCountry)
-	c.f64("fac.lat", facLat)
-	c.f64("fac.lon", facLon)
-
-	// IXPs.
-	n = len(p.IXPs)
-	ixpID := make([]uint32, n)
-	ixpName := make([]string, n)
-	ixpLAN := make([]string, n)
-	ixpMgmt := make([]string, n)
-	ixpRS := make([]netip.Addr, n)
-	ixpMinPort := make([]uint32, n)
-	ixpFed := make([]uint32, n)
-	ixpAtlas := make([]uint32, n)
-	ixpFlags := make([]uint8, n)
-	ixpFacN := make([]uint32, n)
-	var ixpFac []uint32
-	ixpPortN := make([]uint32, n)
-	var ixpPort []uint32
-	for i, ix := range p.IXPs {
-		ixpID[i] = uint32(ix.ID)
-		ixpName[i] = ix.Name
-		ixpLAN[i] = ix.PeeringLAN.String()
-		ixpMgmt[i] = ix.MgmtLAN.String()
-		ixpRS[i] = ix.RouteServer
-		ixpMinPort[i] = uint32(ix.MinPortMbps)
-		ixpFed[i] = uint32(ix.FederationID)
-		ixpAtlas[i] = uint32(ix.AtlasProbes)
-		var fl uint8
-		if ix.AllowsResellers {
-			fl |= ixpFlagResellers
-		}
-		if ix.HasLG {
-			fl |= ixpFlagLG
-		}
-		if ix.WideArea {
-			fl |= ixpFlagWideArea
-		}
-		ixpFlags[i] = fl
-		ixpFacN[i] = uint32(len(ix.Facilities))
-		for _, f := range ix.Facilities {
-			ixpFac = append(ixpFac, uint32(f))
-		}
-		ixpPortN[i] = uint32(len(ix.PortOptionsMbps))
-		for _, mbps := range ix.PortOptionsMbps {
-			ixpPort = append(ixpPort, uint32(mbps))
-		}
-	}
-	c.u32("ixp.id", ixpID)
-	c.str("ixp.name", ixpName)
-	c.str("ixp.lan", ixpLAN)
-	c.str("ixp.mgmt", ixpMgmt)
-	c.addr("ixp.rs", ixpRS)
-	c.u32("ixp.minport", ixpMinPort)
-	c.u32("ixp.fed", ixpFed)
-	c.u32("ixp.atlas", ixpAtlas)
-	c.u8("ixp.flags", ixpFlags)
-	c.u32("ixp.facs.n", ixpFacN)
-	c.u32("ixp.facs", ixpFac)
-	c.u32("ixp.portopts.n", ixpPortN)
-	c.u32("ixp.portopts", ixpPort)
-
-	// ASes (sorted ASN order via Parts).
-	n = len(p.ASes)
-	asASN := make([]uint32, n)
-	asName := make([]string, n)
-	asCountry := make([]string, n)
-	asHomeCity := make([]string, n)
-	asHomeLat := make([]float64, n)
-	asHomeLon := make([]float64, n)
-	asTraffic := make([]float64, n)
-	asTier := make([]uint8, n)
-	asFlags := make([]uint8, n)
-	asFacN := make([]uint32, n)
-	var asFac []uint32
-	asProvN := make([]uint32, n)
-	var asProv []uint32
-	asPopN := make([]uint32, n)
-	var asPop []uint32
-	for i, as := range p.ASes {
-		asASN[i] = uint32(as.ASN)
-		asName[i], asCountry[i], asHomeCity[i] = as.Name, as.Country, as.HomeCity
-		asHomeLat[i], asHomeLon[i] = as.HomeLoc.Lat, as.HomeLoc.Lon
-		asTraffic[i] = as.TrafficMbps
-		asTier[i] = uint8(as.Tier)
-		if as.IsReseller {
-			asFlags[i] |= asFlagReseller
-		}
-		asFacN[i] = uint32(len(as.Facilities))
-		for _, f := range as.Facilities {
-			asFac = append(asFac, uint32(f))
-		}
-		asProvN[i] = uint32(len(as.Providers))
-		for _, pr := range as.Providers {
-			asProv = append(asProv, uint32(pr))
-		}
-		asPopN[i] = uint32(len(as.ResellerPOPs))
-		for _, f := range as.ResellerPOPs {
-			asPop = append(asPop, uint32(f))
-		}
-	}
-	c.u32("as.asn", asASN)
-	c.str("as.name", asName)
-	c.str("as.country", asCountry)
-	c.str("as.homecity", asHomeCity)
-	c.f64("as.homelat", asHomeLat)
-	c.f64("as.homelon", asHomeLon)
-	c.f64("as.traffic", asTraffic)
-	c.u8("as.tier", asTier)
-	c.u8("as.flags", asFlags)
-	c.u32("as.facs.n", asFacN)
-	c.u32("as.facs", asFac)
-	c.u32("as.providers.n", asProvN)
-	c.u32("as.providers", asProv)
-	c.u32("as.pops.n", asPopN)
-	c.u32("as.pops", asPop)
-
-	// Routers (sorted ID order via Parts).
-	n = len(p.Routers)
-	rtrID := make([]uint32, n)
-	rtrOwner := make([]uint32, n)
-	rtrFac := make([]uint32, n)
-	rtrLat := make([]float64, n)
-	rtrLon := make([]float64, n)
-	rtrIPIDInit := make([]uint32, n)
-	rtrIPIDRate := make([]float64, n)
-	rtrIfaceN := make([]uint32, n)
-	var rtrIface []netip.Addr
-	rtrIXPN := make([]uint32, n)
-	var rtrIXP []uint32
-	for i, r := range p.Routers {
-		rtrID[i] = uint32(r.ID)
-		rtrOwner[i] = uint32(r.Owner)
-		rtrFac[i] = uint32(int32(r.Facility))
-		rtrLat[i], rtrLon[i] = r.Loc.Lat, r.Loc.Lon
-		rtrIPIDInit[i] = r.IPIDInit
-		rtrIPIDRate[i] = r.IPIDRate
-		rtrIfaceN[i] = uint32(len(r.Ifaces))
-		rtrIface = append(rtrIface, r.Ifaces...)
-		rtrIXPN[i] = uint32(len(r.IXPs))
-		for _, x := range r.IXPs {
-			rtrIXP = append(rtrIXP, uint32(x))
-		}
-	}
-	c.u32("rtr.id", rtrID)
-	c.u32("rtr.owner", rtrOwner)
-	c.u32("rtr.fac", rtrFac)
-	c.f64("rtr.lat", rtrLat)
-	c.f64("rtr.lon", rtrLon)
-	c.u32("rtr.ipidinit", rtrIPIDInit)
-	c.f64("rtr.ipidrate", rtrIPIDRate)
-	c.u32("rtr.ifaces.n", rtrIfaceN)
-	c.addr("rtr.ifaces", rtrIface)
-	c.u32("rtr.ixps.n", rtrIXPN)
-	c.u32("rtr.ixps", rtrIXP)
-
-	// Members.
-	n = len(p.Members)
-	memASN := make([]uint32, n)
-	memIXP := make([]uint32, n)
-	memIface := make([]netip.Addr, n)
-	memRouter := make([]uint32, n)
-	memPort := make([]uint32, n)
-	memKind := make([]uint8, n)
-	memReseller := make([]uint32, n)
-	memViaFed := make([]uint32, n)
-	for i, m := range p.Members {
-		memASN[i] = uint32(m.ASN)
-		memIXP[i] = uint32(m.IXP)
-		memIface[i] = m.Iface
-		memRouter[i] = uint32(m.Router)
-		memPort[i] = uint32(m.PortMbps)
-		memKind[i] = uint8(m.Kind)
-		memReseller[i] = uint32(m.Reseller)
-		memViaFed[i] = uint32(int32(m.ViaFed))
-	}
-	c.u32("mem.asn", memASN)
-	c.u32("mem.ixp", memIXP)
-	c.addr("mem.iface", memIface)
-	c.u32("mem.router", memRouter)
-	c.u32("mem.port", memPort)
-	c.u8("mem.kind", memKind)
-	c.u32("mem.reseller", memReseller)
-	c.u32("mem.viafed", memViaFed)
-
-	// Private links.
-	n = len(p.Private)
-	privA := make([]uint32, n)
-	privB := make([]uint32, n)
-	privAIface := make([]netip.Addr, n)
-	privBIface := make([]netip.Addr, n)
-	privFac := make([]uint32, n)
-	for i, pl := range p.Private {
-		privA[i] = uint32(pl.A)
-		privB[i] = uint32(pl.B)
-		privAIface[i] = pl.AIface
-		privBIface[i] = pl.BIface
-		privFac[i] = uint32(int32(pl.Facility))
-	}
-	c.u32("priv.a", privA)
-	c.u32("priv.b", privB)
-	c.addr("priv.aiface", privAIface)
-	c.addr("priv.biface", privBIface)
-	c.u32("priv.fac", privFac)
-
-	// Resellers.
-	resellers := make([]uint32, len(p.Resellers))
-	for i, asn := range p.Resellers {
-		resellers[i] = uint32(asn)
-	}
-	c.u32("reseller.asn", resellers)
-
+	var cols []snapshot.Column
+	cols = cityTable.AppendSlice(cols, p.Cities)
+	cols = facTable.Append(cols, len(p.Facilities), func(i int) *netsim.Facility { return p.Facilities[i] })
+	cols = ixpTable.Append(cols, len(p.IXPs), func(i int) *netsim.IXP { return p.IXPs[i] })
+	cols = asTable.Append(cols, len(p.ASes), func(i int) *netsim.AS { return p.ASes[i] })
+	cols = rtrTable.Append(cols, len(p.Routers), func(i int) *netsim.Router { return p.Routers[i] })
+	cols = memTable.Append(cols, len(p.Members), func(i int) *netsim.Member { return p.Members[i] })
+	cols = privTable.AppendSlice(cols, p.Private)
+	cols = resellerTable.AppendSlice(cols, p.Resellers)
 	// Infrastructure prefixes, in sorted-ASN order (Parts order).
-	var pfxASN []uint32
-	var pfxStr []string
+	var pfxs []pfxRow
 	for _, as := range p.ASes {
 		for _, pfx := range p.Prefixes[as.ASN] {
-			pfxASN = append(pfxASN, uint32(as.ASN))
-			pfxStr = append(pfxStr, pfx.String())
+			pfxs = append(pfxs, pfxRow{ASN: as.ASN, Prefix: pfx})
 		}
 	}
-	c.u32("pfx.asn", pfxASN)
-	c.str("pfx.prefix", pfxStr)
-
-	return c.encode(), nil
+	cols = pfxTable.AppendSlice(cols, pfxs)
+	return snapshot.EncodeColumns(cols)
 }
 
 func decodeWorld(cfg netsim.Config, payload []byte) (*netsim.World, error) {
-	d, err := newSecdec(payload)
+	g, err := snapshot.ReadGroup(payload)
 	if err != nil {
-		return nil, err
+		return nil, invalid(err)
 	}
-	parts := netsim.WorldParts{Cfg: cfg, Prefixes: make(map[netsim.ASN][]netip.Prefix)}
-
-	n := d.rows("city.name", "city.country", "city.lat", "city.lon", "city.weight")
-	cityName, cityCountry := d.strs("city.name"), d.strs("city.country")
-	cityLat, cityLon, cityWeight := d.f64("city.lat"), d.f64("city.lon"), d.f64("city.weight")
-	if d.err == nil {
-		parts.Cities = make([]netsim.City, n)
-		for i := range parts.Cities {
-			parts.Cities[i] = netsim.City{
-				Name: cityName[i], Country: cityCountry[i],
-				Loc:    geo.Point{Lat: cityLat[i], Lon: cityLon[i]},
-				Weight: cityWeight[i],
-			}
-		}
+	parts := netsim.WorldParts{
+		Cfg:        cfg,
+		Cities:     cityTable.Read(g),
+		Facilities: ptrs(facTable.Read(g)),
+		IXPs:       ptrs(ixpTable.Read(g)),
+		ASes:       ptrs(asTable.Read(g)),
+		Routers:    ptrs(rtrTable.Read(g)),
+		Members:    ptrs(memTable.Read(g)),
+		Private:    privTable.Read(g),
+		Resellers:  resellerTable.Read(g),
+		Prefixes:   make(map[netsim.ASN][]netip.Prefix),
 	}
-
-	n = d.rows("fac.id", "fac.name", "fac.city", "fac.country", "fac.lat", "fac.lon")
-	facID, facName, facCity := d.u32("fac.id"), d.strs("fac.name"), d.strs("fac.city")
-	facCountry, facLat, facLon := d.strs("fac.country"), d.f64("fac.lat"), d.f64("fac.lon")
-	if d.err == nil {
-		parts.Facilities = make([]*netsim.Facility, n)
-		for i := range parts.Facilities {
-			parts.Facilities[i] = &netsim.Facility{
-				ID: netsim.FacilityID(int32(facID[i])), Name: facName[i],
-				City: facCity[i], Country: facCountry[i],
-				Loc: geo.Point{Lat: facLat[i], Lon: facLon[i]},
-			}
-		}
+	for _, r := range pfxTable.Read(g) {
+		parts.Prefixes[r.ASN] = append(parts.Prefixes[r.ASN], r.Prefix)
 	}
-
-	n = d.rows("ixp.id", "ixp.name", "ixp.lan", "ixp.mgmt", "ixp.rs", "ixp.minport",
-		"ixp.fed", "ixp.atlas", "ixp.flags", "ixp.facs.n", "ixp.portopts.n")
-	d.flatLen(d.u32("ixp.facs.n"), "ixp.facs")
-	d.flatLen(d.u32("ixp.portopts.n"), "ixp.portopts")
-	if d.err == nil {
-		ixpID, ixpName := d.u32("ixp.id"), d.strs("ixp.name")
-		ixpLAN, ixpMgmt, ixpRS := d.strs("ixp.lan"), d.strs("ixp.mgmt"), d.addrs("ixp.rs")
-		ixpMinPort, ixpFed, ixpAtlas := d.u32("ixp.minport"), d.u32("ixp.fed"), d.u32("ixp.atlas")
-		ixpFlags := d.u8("ixp.flags")
-		facN, fac := d.u32("ixp.facs.n"), d.u32("ixp.facs")
-		portN, port := d.u32("ixp.portopts.n"), d.u32("ixp.portopts")
-		facOff, portOff := 0, 0
-		parts.IXPs = make([]*netsim.IXP, n)
-		for i := range parts.IXPs {
-			lan, err := netip.ParsePrefix(ixpLAN[i])
-			if err != nil {
-				return nil, fmt.Errorf("%w: IXP %q peering LAN %q: %v", ErrInvalid, ixpName[i], ixpLAN[i], err)
-			}
-			mgmt, err := netip.ParsePrefix(ixpMgmt[i])
-			if err != nil {
-				return nil, fmt.Errorf("%w: IXP %q mgmt LAN %q: %v", ErrInvalid, ixpName[i], ixpMgmt[i], err)
-			}
-			ix := &netsim.IXP{
-				ID: netsim.IXPID(int32(ixpID[i])), Name: ixpName[i],
-				PeeringLAN: lan, MgmtLAN: mgmt, RouteServer: ixpRS[i],
-				MinPortMbps:     int(ixpMinPort[i]),
-				FederationID:    int(ixpFed[i]),
-				AtlasProbes:     int(ixpAtlas[i]),
-				AllowsResellers: ixpFlags[i]&ixpFlagResellers != 0,
-				HasLG:           ixpFlags[i]&ixpFlagLG != 0,
-				WideArea:        ixpFlags[i]&ixpFlagWideArea != 0,
-			}
-			for j := 0; j < int(facN[i]); j++ {
-				ix.Facilities = append(ix.Facilities, netsim.FacilityID(int32(fac[facOff+j])))
-			}
-			facOff += int(facN[i])
-			for j := 0; j < int(portN[i]); j++ {
-				ix.PortOptionsMbps = append(ix.PortOptionsMbps, int(port[portOff+j]))
-			}
-			portOff += int(portN[i])
-			parts.IXPs[i] = ix
-		}
+	if err := g.Err(); err != nil {
+		return nil, invalid(err)
 	}
-
-	n = d.rows("as.asn", "as.name", "as.country", "as.homecity", "as.homelat",
-		"as.homelon", "as.traffic", "as.tier", "as.flags", "as.facs.n",
-		"as.providers.n", "as.pops.n")
-	d.flatLen(d.u32("as.facs.n"), "as.facs")
-	d.flatLen(d.u32("as.providers.n"), "as.providers")
-	d.flatLen(d.u32("as.pops.n"), "as.pops")
-	if d.err == nil {
-		asASN, asName, asCountry := d.u32("as.asn"), d.strs("as.name"), d.strs("as.country")
-		asHomeCity, asHomeLat, asHomeLon := d.strs("as.homecity"), d.f64("as.homelat"), d.f64("as.homelon")
-		asTraffic, asTier, asFlags := d.f64("as.traffic"), d.u8("as.tier"), d.u8("as.flags")
-		facN, fac := d.u32("as.facs.n"), d.u32("as.facs")
-		provN, prov := d.u32("as.providers.n"), d.u32("as.providers")
-		popN, pop := d.u32("as.pops.n"), d.u32("as.pops")
-		facOff, provOff, popOff := 0, 0, 0
-		parts.ASes = make([]*netsim.AS, n)
-		for i := range parts.ASes {
-			as := &netsim.AS{
-				ASN: netsim.ASN(asASN[i]), Name: asName[i], Country: asCountry[i],
-				HomeCity:    asHomeCity[i],
-				HomeLoc:     geo.Point{Lat: asHomeLat[i], Lon: asHomeLon[i]},
-				TrafficMbps: asTraffic[i],
-				Tier:        int(asTier[i]),
-				IsReseller:  asFlags[i]&asFlagReseller != 0,
-			}
-			for j := 0; j < int(facN[i]); j++ {
-				as.Facilities = append(as.Facilities, netsim.FacilityID(int32(fac[facOff+j])))
-			}
-			facOff += int(facN[i])
-			for j := 0; j < int(provN[i]); j++ {
-				as.Providers = append(as.Providers, netsim.ASN(prov[provOff+j]))
-			}
-			provOff += int(provN[i])
-			for j := 0; j < int(popN[i]); j++ {
-				as.ResellerPOPs = append(as.ResellerPOPs, netsim.FacilityID(int32(pop[popOff+j])))
-			}
-			popOff += int(popN[i])
-			parts.ASes[i] = as
-		}
-	}
-
-	n = d.rows("rtr.id", "rtr.owner", "rtr.fac", "rtr.lat", "rtr.lon",
-		"rtr.ipidinit", "rtr.ipidrate", "rtr.ifaces.n", "rtr.ixps.n")
-	d.flatLen(d.u32("rtr.ifaces.n"), "rtr.ifaces")
-	d.flatLen(d.u32("rtr.ixps.n"), "rtr.ixps")
-	if d.err == nil {
-		rtrID, rtrOwner, rtrFac := d.u32("rtr.id"), d.u32("rtr.owner"), d.u32("rtr.fac")
-		rtrLat, rtrLon := d.f64("rtr.lat"), d.f64("rtr.lon")
-		rtrInit, rtrRate := d.u32("rtr.ipidinit"), d.f64("rtr.ipidrate")
-		ifaceN, iface := d.u32("rtr.ifaces.n"), d.addrs("rtr.ifaces")
-		ixpN, ixp := d.u32("rtr.ixps.n"), d.u32("rtr.ixps")
-		ifaceOff, ixpOff := 0, 0
-		parts.Routers = make([]*netsim.Router, n)
-		for i := range parts.Routers {
-			r := &netsim.Router{
-				ID: netsim.RouterID(int32(rtrID[i])), Owner: netsim.ASN(rtrOwner[i]),
-				Facility: netsim.FacilityID(int32(rtrFac[i])),
-				Loc:      geo.Point{Lat: rtrLat[i], Lon: rtrLon[i]},
-				IPIDInit: rtrInit[i], IPIDRate: rtrRate[i],
-			}
-			r.Ifaces = append(r.Ifaces, iface[ifaceOff:ifaceOff+int(ifaceN[i])]...)
-			ifaceOff += int(ifaceN[i])
-			for j := 0; j < int(ixpN[i]); j++ {
-				r.IXPs = append(r.IXPs, netsim.IXPID(int32(ixp[ixpOff+j])))
-			}
-			ixpOff += int(ixpN[i])
-			parts.Routers[i] = r
-		}
-	}
-
-	n = d.rows("mem.asn", "mem.ixp", "mem.iface", "mem.router", "mem.port",
-		"mem.kind", "mem.reseller", "mem.viafed")
-	if d.err == nil {
-		memASN, memIXP, memIface := d.u32("mem.asn"), d.u32("mem.ixp"), d.addrs("mem.iface")
-		memRouter, memPort, memKind := d.u32("mem.router"), d.u32("mem.port"), d.u8("mem.kind")
-		memReseller, memViaFed := d.u32("mem.reseller"), d.u32("mem.viafed")
-		parts.Members = make([]*netsim.Member, n)
-		for i := range parts.Members {
-			parts.Members[i] = &netsim.Member{
-				ASN: netsim.ASN(memASN[i]), IXP: netsim.IXPID(int32(memIXP[i])),
-				Iface: memIface[i], Router: netsim.RouterID(int32(memRouter[i])),
-				PortMbps: int(memPort[i]), Kind: netsim.ConnKind(memKind[i]),
-				Reseller: netsim.ASN(memReseller[i]),
-				ViaFed:   netsim.IXPID(int32(memViaFed[i])),
-			}
-		}
-	}
-
-	n = d.rows("priv.a", "priv.b", "priv.aiface", "priv.biface", "priv.fac")
-	if d.err == nil {
-		privA, privB := d.u32("priv.a"), d.u32("priv.b")
-		privAI, privBI, privFac := d.addrs("priv.aiface"), d.addrs("priv.biface"), d.u32("priv.fac")
-		parts.Private = make([]netsim.PrivateLink, n)
-		for i := range parts.Private {
-			parts.Private[i] = netsim.PrivateLink{
-				A: netsim.RouterID(int32(privA[i])), B: netsim.RouterID(int32(privB[i])),
-				AIface: privAI[i], BIface: privBI[i],
-				Facility: netsim.FacilityID(int32(privFac[i])),
-			}
-		}
-	}
-
-	for _, asn := range d.u32("reseller.asn") {
-		parts.Resellers = append(parts.Resellers, netsim.ASN(asn))
-	}
-
-	n = d.rows("pfx.asn", "pfx.prefix")
-	if d.err == nil {
-		pfxASN, pfxStr := d.u32("pfx.asn"), d.strs("pfx.prefix")
-		for i := 0; i < n; i++ {
-			pfx, err := netip.ParsePrefix(pfxStr[i])
-			if err != nil {
-				return nil, fmt.Errorf("%w: AS%d prefix %q: %v", ErrInvalid, pfxASN[i], pfxStr[i], err)
-			}
-			asn := netsim.ASN(pfxASN[i])
-			parts.Prefixes[asn] = append(parts.Prefixes[asn], pfx)
-		}
-	}
-
-	if d.err != nil {
-		return nil, d.err
+	if len(parts.Resellers) == 0 {
+		parts.Resellers = nil // generation appends, so none is nil
 	}
 	w, err := netsim.FromParts(parts)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
+		return nil, invalid(err)
 	}
 	return w, nil
 }
 
 // ---------------------------------------------------------------------------
 // dataset
+
+// The dataset's membership and port rows share the checkpoint's tables
+// (core.IfaceTable, core.PortTable); every IXP-valued row indexes one
+// shared name table.
+type (
+	dsPrefixRow struct {
+		Prefix netip.Prefix
+		IXP    uint32
+	}
+	dsMinPortRow struct {
+		IXP  uint32
+		Mbps int
+	}
+)
+
+var (
+	dsNameTable   = snapshot.Table[string]{snapshot.Str("ds.name", snapshot.Self[string])}
+	dsPrefixTable = snapshot.Table[dsPrefixRow]{
+		snapshot.Prefix("ds.pfx.prefix", func(r *dsPrefixRow) *netip.Prefix { return &r.Prefix }),
+		snapshot.Index("ds.pfx.ixp", "ds.name", func(r *dsPrefixRow) *uint32 { return &r.IXP }),
+	}
+	dsIfaceTable   = core.IfaceTable("ds.if", "ds.name")
+	dsPortTable    = core.PortTable("ds.port", "ds.name")
+	dsMinPortTable = snapshot.Table[dsMinPortRow]{
+		snapshot.Index("ds.minport.ixp", "ds.name", func(r *dsMinPortRow) *uint32 { return &r.IXP }),
+		snapshot.U64("ds.minport.mbps", func(r *dsMinPortRow) *int { return &r.Mbps }),
+	}
+	dsStatsTable = snapshot.Table[registry.SourceStats]{
+		snapshot.U8("ds.stats.src", func(s *registry.SourceStats) *registry.Source { return &s.Source }),
+		snapshot.U32("ds.stats.pfx", func(s *registry.SourceStats) *int { return &s.Prefixes }),
+		snapshot.U32("ds.stats.upfx", func(s *registry.SourceStats) *int { return &s.UniquePrefixes }),
+		snapshot.U32("ds.stats.cpfx", func(s *registry.SourceStats) *int { return &s.ConflictPrefixes }),
+		snapshot.U32("ds.stats.if", func(s *registry.SourceStats) *int { return &s.Interfaces }),
+		snapshot.U32("ds.stats.uif", func(s *registry.SourceStats) *int { return &s.UniqueInterfaces }),
+		snapshot.U32("ds.stats.cif", func(s *registry.SourceStats) *int { return &s.ConflictInterfaces }),
+	}
+)
 
 func encodeDataset(ds *registry.Dataset) []byte {
 	// Shared IXP name table: every name any row references, sorted.
@@ -742,208 +257,66 @@ func encodeDataset(ds *registry.Dataset) []byte {
 	for name := range ds.MinPort {
 		nameSet[name] = struct{}{}
 	}
-	names := make([]string, 0, len(nameSet))
-	for name := range nameSet {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	nameIdx := make(map[string]uint32, len(names))
-	for i, name := range names {
-		nameIdx[name] = uint32(i)
-	}
-
-	var c colset
-	c.str("ds.name", names)
+	names, nameIdx := snapshot.Names(nameSet)
 
 	// Prefix plane, sorted by prefix string.
-	pfxs := make([]netip.Prefix, 0, len(ds.PrefixIXP))
-	for p := range ds.PrefixIXP {
-		pfxs = append(pfxs, p)
+	pfxs := make([]dsPrefixRow, 0, len(ds.PrefixIXP))
+	for p, name := range ds.PrefixIXP {
+		pfxs = append(pfxs, dsPrefixRow{Prefix: p, IXP: nameIdx[name]})
 	}
-	sort.Slice(pfxs, func(i, j int) bool { return pfxs[i].String() < pfxs[j].String() })
-	pfxStr := make([]string, len(pfxs))
-	pfxIXP := make([]uint32, len(pfxs))
-	for i, p := range pfxs {
-		pfxStr[i] = p.String()
-		pfxIXP[i] = nameIdx[ds.PrefixIXP[p]]
-	}
-	c.str("ds.pfx.prefix", pfxStr)
-	c.u32("ds.pfx.ixp", pfxIXP)
+	sort.Slice(pfxs, func(i, j int) bool { return pfxs[i].Prefix.String() < pfxs[j].Prefix.String() })
 
 	// Interface records, sorted by address.
-	addrs := make([]netip.Addr, 0, len(ds.IfaceIXP))
-	for a := range ds.IfaceIXP {
-		addrs = append(addrs, a)
+	ifaces := make([]core.IfaceRow, 0, len(ds.IfaceIXP))
+	for a, name := range ds.IfaceIXP {
+		ifaces = append(ifaces, core.IfaceRow{Iface: a, ASN: ds.IfaceASN[a], IXP: nameIdx[name]})
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i].Less(addrs[j]) })
-	ifASN := make([]uint32, len(addrs))
-	ifIXP := make([]uint32, len(addrs))
-	for i, a := range addrs {
-		ifASN[i] = uint32(ds.IfaceASN[a])
-		ifIXP[i] = nameIdx[ds.IfaceIXP[a]]
-	}
-	c.addr("ds.if.addr", addrs)
-	c.u32("ds.if.asn", ifASN)
-	c.u32("ds.if.ixp", ifIXP)
+	sort.Slice(ifaces, func(i, j int) bool { return ifaces[i].Iface.Less(ifaces[j].Iface) })
 
-	// Port records, sorted by (IXP name, ASN).
-	portKeys := make([]registry.PortKey, 0, len(ds.Ports))
-	for k := range ds.Ports {
-		portKeys = append(portKeys, k)
+	// Advertised minimum ports, sorted by IXP name (= index order).
+	mins := make([]dsMinPortRow, 0, len(ds.MinPort))
+	for name, mbps := range ds.MinPort {
+		mins = append(mins, dsMinPortRow{IXP: nameIdx[name], Mbps: mbps})
 	}
-	sort.Slice(portKeys, func(i, j int) bool {
-		if portKeys[i].IXP != portKeys[j].IXP {
-			return portKeys[i].IXP < portKeys[j].IXP
-		}
-		return portKeys[i].ASN < portKeys[j].ASN
-	})
-	portIXP := make([]uint32, len(portKeys))
-	portASN := make([]uint32, len(portKeys))
-	portMbps := make([]uint64, len(portKeys))
-	for i, k := range portKeys {
-		portIXP[i] = nameIdx[k.IXP]
-		portASN[i] = uint32(k.ASN)
-		portMbps[i] = uint64(ds.Ports[k])
-	}
-	c.u32("ds.port.ixp", portIXP)
-	c.u32("ds.port.asn", portASN)
-	c.u64("ds.port.mbps", portMbps)
+	sort.Slice(mins, func(i, j int) bool { return mins[i].IXP < mins[j].IXP })
 
-	// Advertised minimum ports, sorted by IXP name.
-	minNames := make([]string, 0, len(ds.MinPort))
-	for name := range ds.MinPort {
-		minNames = append(minNames, name)
-	}
-	sort.Strings(minNames)
-	minIXP := make([]uint32, len(minNames))
-	minMbps := make([]uint64, len(minNames))
-	for i, name := range minNames {
-		minIXP[i] = nameIdx[name]
-		minMbps[i] = uint64(ds.MinPort[name])
-	}
-	c.u32("ds.minport.ixp", minIXP)
-	c.u64("ds.minport.mbps", minMbps)
-
-	// Per-source stats, in stored (preference) order.
-	stSrc := make([]uint8, len(ds.Stats))
-	stPfx := make([]uint32, len(ds.Stats))
-	stUPfx := make([]uint32, len(ds.Stats))
-	stCPfx := make([]uint32, len(ds.Stats))
-	stIf := make([]uint32, len(ds.Stats))
-	stUIf := make([]uint32, len(ds.Stats))
-	stCIf := make([]uint32, len(ds.Stats))
-	for i, st := range ds.Stats {
-		stSrc[i] = uint8(st.Source)
-		stPfx[i] = uint32(st.Prefixes)
-		stUPfx[i] = uint32(st.UniquePrefixes)
-		stCPfx[i] = uint32(st.ConflictPrefixes)
-		stIf[i] = uint32(st.Interfaces)
-		stUIf[i] = uint32(st.UniqueInterfaces)
-		stCIf[i] = uint32(st.ConflictInterfaces)
-	}
-	c.u8("ds.stats.src", stSrc)
-	c.u32("ds.stats.pfx", stPfx)
-	c.u32("ds.stats.upfx", stUPfx)
-	c.u32("ds.stats.cpfx", stCPfx)
-	c.u32("ds.stats.if", stIf)
-	c.u32("ds.stats.uif", stUIf)
-	c.u32("ds.stats.cif", stCIf)
-
-	return c.encode()
+	cols := dsNameTable.AppendSlice(nil, names)
+	cols = dsPrefixTable.AppendSlice(cols, pfxs)
+	cols = dsIfaceTable.AppendSlice(cols, ifaces)
+	cols = dsPortTable.AppendSlice(cols, core.PortRows(ds.Ports, nameIdx))
+	cols = dsMinPortTable.AppendSlice(cols, mins)
+	cols = dsStatsTable.AppendSlice(cols, ds.Stats) // stored (preference) order
+	return snapshot.EncodeColumns(cols)
 }
 
 func decodeDataset(payload []byte) (*registry.Dataset, error) {
-	d, err := newSecdec(payload)
+	g, err := snapshot.ReadGroup(payload)
 	if err != nil {
-		return nil, err
+		return nil, invalid(err)
 	}
-	names := d.strs("ds.name")
-	name := func(idx uint32, what string, row int) (string, bool) {
-		if int(idx) >= len(names) {
-			d.fail("%s row %d references IXP name %d of %d", what, row, idx, len(names))
-			return "", false
-		}
-		return names[idx], true
+	names := dsNameTable.Read(g)
+	pfxs := dsPrefixTable.Read(g)
+	ifaces := dsIfaceTable.Read(g)
+	ports := dsPortTable.Read(g)
+	mins := dsMinPortTable.Read(g)
+	ds := &registry.Dataset{Stats: dsStatsTable.Read(g)}
+	if err := g.Err(); err != nil {
+		return nil, invalid(err)
 	}
-	ds := &registry.Dataset{
-		PrefixIXP: make(map[netip.Prefix]string),
-		IfaceASN:  make(map[netip.Addr]netsim.ASN),
-		IfaceIXP:  make(map[netip.Addr]string),
-		Ports:     make(map[registry.PortKey]int),
-		MinPort:   make(map[string]int),
+	ds.PrefixIXP = make(map[netip.Prefix]string, len(pfxs))
+	for _, r := range pfxs {
+		ds.PrefixIXP[r.Prefix] = names[r.IXP]
 	}
-
-	n := d.rows("ds.pfx.prefix", "ds.pfx.ixp")
-	if d.err == nil {
-		pfxStr, pfxIXP := d.strs("ds.pfx.prefix"), d.u32("ds.pfx.ixp")
-		for i := 0; i < n; i++ {
-			p, err := netip.ParsePrefix(pfxStr[i])
-			if err != nil {
-				return nil, fmt.Errorf("%w: dataset prefix %q: %v", ErrInvalid, pfxStr[i], err)
-			}
-			nm, ok := name(pfxIXP[i], "prefix", i)
-			if !ok {
-				break
-			}
-			ds.PrefixIXP[p] = nm
-		}
+	ds.IfaceASN = make(map[netip.Addr]netsim.ASN, len(ifaces))
+	ds.IfaceIXP = make(map[netip.Addr]string, len(ifaces))
+	for _, r := range ifaces {
+		ds.IfaceASN[r.Iface] = r.ASN
+		ds.IfaceIXP[r.Iface] = names[r.IXP]
 	}
-
-	n = d.rows("ds.if.addr", "ds.if.asn", "ds.if.ixp")
-	if d.err == nil {
-		addrs, asns, ixps := d.addrs("ds.if.addr"), d.u32("ds.if.asn"), d.u32("ds.if.ixp")
-		for i := 0; i < n; i++ {
-			nm, ok := name(ixps[i], "interface", i)
-			if !ok {
-				break
-			}
-			ds.IfaceASN[addrs[i]] = netsim.ASN(asns[i])
-			ds.IfaceIXP[addrs[i]] = nm
-		}
-	}
-
-	n = d.rows("ds.port.ixp", "ds.port.asn", "ds.port.mbps")
-	if d.err == nil {
-		ixps, asns, mbps := d.u32("ds.port.ixp"), d.u32("ds.port.asn"), d.u64("ds.port.mbps")
-		for i := 0; i < n; i++ {
-			nm, ok := name(ixps[i], "port", i)
-			if !ok {
-				break
-			}
-			ds.Ports[registry.PortKey{IXP: nm, ASN: netsim.ASN(asns[i])}] = int(mbps[i])
-		}
-	}
-
-	n = d.rows("ds.minport.ixp", "ds.minport.mbps")
-	if d.err == nil {
-		ixps, mbps := d.u32("ds.minport.ixp"), d.u64("ds.minport.mbps")
-		for i := 0; i < n; i++ {
-			nm, ok := name(ixps[i], "min-port", i)
-			if !ok {
-				break
-			}
-			ds.MinPort[nm] = int(mbps[i])
-		}
-	}
-
-	n = d.rows("ds.stats.src", "ds.stats.pfx", "ds.stats.upfx", "ds.stats.cpfx",
-		"ds.stats.if", "ds.stats.uif", "ds.stats.cif")
-	if d.err == nil {
-		src := d.u8("ds.stats.src")
-		pfx, upfx, cpfx := d.u32("ds.stats.pfx"), d.u32("ds.stats.upfx"), d.u32("ds.stats.cpfx")
-		ifs, uif, cif := d.u32("ds.stats.if"), d.u32("ds.stats.uif"), d.u32("ds.stats.cif")
-		ds.Stats = make([]registry.SourceStats, n)
-		for i := 0; i < n; i++ {
-			ds.Stats[i] = registry.SourceStats{
-				Source:   registry.Source(src[i]),
-				Prefixes: int(pfx[i]), UniquePrefixes: int(upfx[i]), ConflictPrefixes: int(cpfx[i]),
-				Interfaces: int(ifs[i]), UniqueInterfaces: int(uif[i]), ConflictInterfaces: int(cif[i]),
-			}
-		}
-	}
-
-	if d.err != nil {
-		return nil, d.err
+	ds.Ports = core.PortMap(ports, names)
+	ds.MinPort = make(map[string]int, len(mins))
+	for _, r := range mins {
+		ds.MinPort[names[r.IXP]] = r.Mbps
 	}
 	return ds, nil
 }
@@ -951,100 +324,68 @@ func decodeDataset(payload []byte) (*registry.Dataset, error) {
 // ---------------------------------------------------------------------------
 // colo
 
+type (
+	coloASRow struct {
+		ASN  netsim.ASN
+		Facs []netsim.FacilityID
+	}
+	coloIXPRow struct {
+		Name string
+		Facs []netsim.FacilityID
+	}
+)
+
+// facList is a colo facility list under the section's own names
+// ("colo.as.n" + "colo.as.fac"). Present-with-no-facilities decodes as
+// a nil slice, matching what registry.BuildColo produces.
+func facList[R any](count, flat string, get func(*R) *[]netsim.FacilityID) snapshot.Field[R] {
+	return snapshot.List(count, get, snapshot.Table[netsim.FacilityID]{snapshot.U32(flat, snapshot.Self[netsim.FacilityID])})
+}
+
+var (
+	coloASTable = snapshot.Table[coloASRow]{
+		snapshot.U32("colo.as.asn", func(r *coloASRow) *netsim.ASN { return &r.ASN }),
+		facList("colo.as.n", "colo.as.fac", func(r *coloASRow) *[]netsim.FacilityID { return &r.Facs }),
+	}
+	coloIXPTable = snapshot.Table[coloIXPRow]{
+		snapshot.Str("colo.ixp.name", func(r *coloIXPRow) *string { return &r.Name }),
+		facList("colo.ixp.n", "colo.ixp.fac", func(r *coloIXPRow) *[]netsim.FacilityID { return &r.Facs }),
+	}
+)
+
 func encodeColo(colo *registry.ColoDB) []byte {
-	var c colset
-
-	asns := make([]netsim.ASN, 0, len(colo.ASFacilities))
-	for asn := range colo.ASFacilities {
-		asns = append(asns, asn)
+	ases := make([]coloASRow, 0, len(colo.ASFacilities))
+	for asn, facs := range colo.ASFacilities {
+		ases = append(ases, coloASRow{ASN: asn, Facs: facs})
 	}
-	sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
-	asASN := make([]uint32, len(asns))
-	asN := make([]uint32, len(asns))
-	var asFac []uint32
-	for i, asn := range asns {
-		asASN[i] = uint32(asn)
-		facs := colo.ASFacilities[asn]
-		asN[i] = uint32(len(facs))
-		for _, f := range facs {
-			asFac = append(asFac, uint32(f))
-		}
+	sort.Slice(ases, func(i, j int) bool { return ases[i].ASN < ases[j].ASN })
+	ixps := make([]coloIXPRow, 0, len(colo.IXPFacilities))
+	for name, facs := range colo.IXPFacilities {
+		ixps = append(ixps, coloIXPRow{Name: name, Facs: facs})
 	}
-	c.u32("colo.as.asn", asASN)
-	c.u32("colo.as.n", asN)
-	c.u32("colo.as.fac", asFac)
-
-	ixps := make([]string, 0, len(colo.IXPFacilities))
-	for name := range colo.IXPFacilities {
-		ixps = append(ixps, name)
-	}
-	sort.Strings(ixps)
-	ixpN := make([]uint32, len(ixps))
-	var ixpFac []uint32
-	for i, name := range ixps {
-		facs := colo.IXPFacilities[name]
-		ixpN[i] = uint32(len(facs))
-		for _, f := range facs {
-			ixpFac = append(ixpFac, uint32(f))
-		}
-	}
-	c.str("colo.ixp.name", ixps)
-	c.u32("colo.ixp.n", ixpN)
-	c.u32("colo.ixp.fac", ixpFac)
-
-	return c.encode()
+	sort.Slice(ixps, func(i, j int) bool { return ixps[i].Name < ixps[j].Name })
+	cols := coloASTable.AppendSlice(nil, ases)
+	return snapshot.EncodeColumns(coloIXPTable.AppendSlice(cols, ixps))
 }
 
 func decodeColo(payload []byte) (*registry.ColoDB, error) {
-	d, err := newSecdec(payload)
+	g, err := snapshot.ReadGroup(payload)
 	if err != nil {
-		return nil, err
+		return nil, invalid(err)
+	}
+	ases, ixps := coloASTable.Read(g), coloIXPTable.Read(g)
+	if err := g.Err(); err != nil {
+		return nil, invalid(err)
 	}
 	colo := &registry.ColoDB{
-		ASFacilities:  make(map[netsim.ASN][]netsim.FacilityID),
-		IXPFacilities: make(map[string][]netsim.FacilityID),
+		ASFacilities:  make(map[netsim.ASN][]netsim.FacilityID, len(ases)),
+		IXPFacilities: make(map[string][]netsim.FacilityID, len(ixps)),
 	}
-
-	n := d.rows("colo.as.asn", "colo.as.n")
-	d.flatLen(d.u32("colo.as.n"), "colo.as.fac")
-	if d.err == nil {
-		asns, counts, fac := d.u32("colo.as.asn"), d.u32("colo.as.n"), d.u32("colo.as.fac")
-		off := 0
-		for i := 0; i < n; i++ {
-			// Present-with-no-facilities stays a nil slice, matching
-			// what registry.BuildColo produces for such entries.
-			var facs []netsim.FacilityID
-			if counts[i] > 0 {
-				facs = make([]netsim.FacilityID, int(counts[i]))
-				for j := range facs {
-					facs[j] = netsim.FacilityID(int32(fac[off+j]))
-				}
-			}
-			off += int(counts[i])
-			colo.ASFacilities[netsim.ASN(asns[i])] = facs
-		}
+	for _, r := range ases {
+		colo.ASFacilities[r.ASN] = r.Facs
 	}
-
-	n = d.rows("colo.ixp.name", "colo.ixp.n")
-	d.flatLen(d.u32("colo.ixp.n"), "colo.ixp.fac")
-	if d.err == nil {
-		names, counts, fac := d.strs("colo.ixp.name"), d.u32("colo.ixp.n"), d.u32("colo.ixp.fac")
-		off := 0
-		for i := 0; i < n; i++ {
-			var facs []netsim.FacilityID
-			if counts[i] > 0 {
-				facs = make([]netsim.FacilityID, int(counts[i]))
-				for j := range facs {
-					facs[j] = netsim.FacilityID(int32(fac[off+j]))
-				}
-			}
-			off += int(counts[i])
-			colo.IXPFacilities[names[i]] = facs
-		}
-	}
-
-	if d.err != nil {
-		return nil, d.err
+	for _, r := range ixps {
+		colo.IXPFacilities[r.Name] = r.Facs
 	}
 	return colo, nil
 }
@@ -1052,188 +393,108 @@ func decodeColo(payload []byte) (*registry.ColoDB, error) {
 // ---------------------------------------------------------------------------
 // ping
 
-func encodePing(r *pingsim.Result) ([]byte, error) {
-	var c colset
+// vpRow is one roster VP, hidden ground-truth attributes included
+// (restored rosters must still drive re-campaigns).
+type vpRow struct {
+	pingsim.VP
+	Hidden pingsim.VPHidden
+}
 
-	// VP roster, in roster order, hidden ground-truth attributes
-	// included (restored rosters must still drive re-campaigns).
-	n := len(r.VPs)
-	vpID := make([]uint32, n)
-	vpIXP := make([]uint32, n)
-	vpKind := make([]uint8, n)
-	vpFac := make([]uint32, n)
-	vpLat := make([]float64, n)
-	vpLon := make([]float64, n)
-	vpSrc := make([]netip.Addr, n)
-	vpFlags := make([]uint8, n)
-	vpExtra := make([]float64, n)
+type rsRow struct {
+	VP  int
+	RTT float64
+}
+
+var (
+	vpTable = snapshot.Table[vpRow]{
+		snapshot.U32("vp.id", func(r *vpRow) *int { return &r.ID }),
+		snapshot.U32("vp.ixp", func(r *vpRow) *netsim.IXPID { return &r.IXP }),
+		snapshot.U8("vp.kind", func(r *vpRow) *pingsim.VPKind { return &r.Kind }),
+		snapshot.U32("vp.fac", func(r *vpRow) *netsim.FacilityID { return &r.Facility }),
+		snapshot.F64("vp.lat", func(r *vpRow) *float64 { return &r.Loc.Lat }),
+		snapshot.F64("vp.lon", func(r *vpRow) *float64 { return &r.Loc.Lon }),
+		snapshot.PackedAddr("vp.src", func(r *vpRow) *netip.Addr { return &r.SrcIP }),
+		snapshot.Len[vpRow]("vp.src.n"),
+		snapshot.Flags("vp.flags",
+			func(r *vpRow) *bool { return &r.RoundsUp },
+			func(r *vpRow) *bool { return &r.Hidden.MgmtLAN },
+			func(r *vpRow) *bool { return &r.Hidden.Dead }),
+		snapshot.F64("vp.mgmtextra", func(r *vpRow) *float64 { return &r.Hidden.MgmtExtraMs }),
+	}
+	usableTable = snapshot.Table[int]{snapshot.U32("vp.usable", snapshot.Self[int])}
+	rsTable     = snapshot.Table[rsRow]{
+		snapshot.U32("rs.vp", func(r *rsRow) *int { return &r.VP }),
+		snapshot.F64("rs.rtt", func(r *rsRow) *float64 { return &r.RTT }),
+	}
+	aggTable = core.OverrideTable("agg.iface", "agg")
+)
+
+func encodePing(r *pingsim.Result) []byte {
+	vps := make([]vpRow, len(r.VPs))
 	for i, vp := range r.VPs {
-		vpID[i] = uint32(vp.ID)
-		vpIXP[i] = uint32(vp.IXP)
-		vpKind[i] = uint8(vp.Kind)
-		vpFac[i] = uint32(int32(vp.Facility))
-		vpLat[i], vpLon[i] = vp.Loc.Lat, vp.Loc.Lon
-		vpSrc[i] = vp.SrcIP
-		h := vp.Hidden()
-		var fl uint8
-		if vp.RoundsUp {
-			fl |= vpFlagRoundsUp
-		}
-		if h.MgmtLAN {
-			fl |= vpFlagMgmtLAN
-		}
-		if h.Dead {
-			fl |= vpFlagDead
-		}
-		vpFlags[i] = fl
-		vpExtra[i] = h.MgmtExtraMs
+		vps[i] = vpRow{VP: *vp, Hidden: vp.Hidden()}
 	}
-	c.u32("vp.id", vpID)
-	c.u32("vp.ixp", vpIXP)
-	c.u8("vp.kind", vpKind)
-	c.u32("vp.fac", vpFac)
-	c.f64("vp.lat", vpLat)
-	c.f64("vp.lon", vpLon)
-	c.u8("vp.src", packAddrs(vpSrc))
-	c.u32("vp.src.n", []uint32{uint32(n)})
-	c.u8("vp.flags", vpFlags)
-	c.f64("vp.mgmtextra", vpExtra)
-
-	// Usable selection, in UsableVPs order.
-	usable := make([]uint32, len(r.UsableVPs))
+	usable := make([]int, len(r.UsableVPs))
 	for i, vp := range r.UsableVPs {
-		usable[i] = uint32(vp.ID)
+		usable[i] = vp.ID
 	}
-	c.u32("vp.usable", usable)
-
 	// Route-server RTTs, sorted by VP id.
-	rsIDs := make([]int, 0, len(r.RouteServerRTT))
-	for id := range r.RouteServerRTT {
-		rsIDs = append(rsIDs, id)
+	rs := make([]rsRow, 0, len(r.RouteServerRTT))
+	for id, rtt := range r.RouteServerRTT {
+		rs = append(rs, rsRow{VP: id, RTT: rtt})
 	}
-	sort.Ints(rsIDs)
-	rsVP := make([]uint32, len(rsIDs))
-	rsRTT := make([]float64, len(rsIDs))
-	for i, id := range rsIDs {
-		rsVP[i] = uint32(id)
-		rsRTT[i] = r.RouteServerRTT[id]
-	}
-	c.u32("rs.vp", rsVP)
-	c.f64("rs.rtt", rsRTT)
-
+	sort.Slice(rs, func(i, j int) bool { return rs[i].VP < rs[j].VP })
 	// Folded per-interface aggregates, in address order (AggRows). Any
 	// override overlay is already folded in by the index — a decoded
 	// campaign starts with a clean overlay over these aggregates.
 	rows := r.AggRows()
-	aggIface := make([]netip.Addr, len(rows))
-	aggRTT := make([]float64, len(rows))
-	aggVP := make([]uint32, len(rows))
-	aggFlags := make([]uint8, len(rows))
+	aggs := make([]core.OverrideRow, len(rows))
 	for i, row := range rows {
-		aggIface[i] = row.Iface
-		aggRTT[i] = row.Agg.RTTMinMs
-		aggVP[i] = noVP
-		if row.Agg.BestVP != nil {
-			aggVP[i] = uint32(row.Agg.BestVP.ID)
-		}
-		var fl uint8
-		if row.Agg.BestRoundsUp {
-			fl |= aggFlagBestRoundsUp
-		}
-		if row.Agg.AnyRounding {
-			fl |= aggFlagAnyRounding
-		}
-		aggFlags[i] = fl
+		aggs[i] = core.NewOverrideRow(row.Iface, pingsim.Override(*row.Agg))
 	}
-	c.addr("agg.iface", aggIface)
-	c.f64("agg.rtt", aggRTT)
-	c.u32("agg.vp", aggVP)
-	c.u8("agg.flags", aggFlags)
-
-	return c.encode(), nil
+	cols := vpTable.AppendSlice(nil, vps)
+	cols = usableTable.AppendSlice(cols, usable)
+	cols = rsTable.AppendSlice(cols, rs)
+	return snapshot.EncodeColumns(aggTable.AppendSlice(cols, aggs))
 }
 
 func decodePing(payload []byte) (*pingsim.Result, error) {
-	d, err := newSecdec(payload)
+	g, err := snapshot.ReadGroup(payload)
 	if err != nil {
-		return nil, err
+		return nil, invalid(err)
 	}
-	n := d.rows("vp.id", "vp.ixp", "vp.kind", "vp.fac", "vp.lat", "vp.lon",
-		"vp.flags", "vp.mgmtextra")
-	if cnt := d.u32("vp.src.n"); d.err == nil && (len(cnt) != 1 || int(cnt[0]) != n) {
-		d.fail("vp.src.n disagrees with the roster size")
+	rows := vpTable.Read(g)
+	usable := usableTable.Read(g)
+	rsRows := rsTable.Read(g)
+	aggRows := aggTable.Read(g)
+	if err := g.Err(); err != nil {
+		return nil, invalid(err)
 	}
-	if d.err != nil {
-		return nil, d.err
+	vps := make([]*pingsim.VP, len(rows))
+	for i := range rows {
+		vps[i] = &rows[i].VP
+		vps[i].SetHidden(rows[i].Hidden)
 	}
-	srcs, err := unpackAddrs(d.u8("vp.src"), n)
+	byID := core.VPsByID(vps)
+	rs := make(map[int]float64, len(rsRows))
+	for _, r := range rsRows {
+		if byID[uint32(r.VP)] == nil {
+			return nil, fmt.Errorf("%w: route-server RTT for unknown VP %d", ErrInvalid, r.VP)
+		}
+		rs[r.VP] = r.RTT
+	}
+	aggSlab := make([]pingsim.IfaceAgg, len(aggRows))
+	aggs := make(map[netip.Addr]*pingsim.IfaceAgg, len(aggRows))
+	for i := range aggRows {
+		if err := aggRows[i].Resolve(byID); err != nil {
+			return nil, invalid(err)
+		}
+		aggSlab[i] = pingsim.IfaceAgg(aggRows[i].Override)
+		aggs[aggRows[i].Iface] = &aggSlab[i]
+	}
+	r, err := pingsim.RestoredResult(vps, usable, rs, aggs)
 	if err != nil {
-		return nil, err
-	}
-	vpID, vpIXP, vpKind := d.u32("vp.id"), d.u32("vp.ixp"), d.u8("vp.kind")
-	vpFac, vpLat, vpLon := d.u32("vp.fac"), d.f64("vp.lat"), d.f64("vp.lon")
-	vpFlags, vpExtra := d.u8("vp.flags"), d.f64("vp.mgmtextra")
-	vps := make([]*pingsim.VP, n)
-	byID := make(map[uint32]*pingsim.VP, n)
-	for i := range vps {
-		vp := &pingsim.VP{
-			ID: int(vpID[i]), IXP: netsim.IXPID(int32(vpIXP[i])),
-			Kind:     pingsim.VPKind(vpKind[i]),
-			Facility: netsim.FacilityID(int32(vpFac[i])),
-			Loc:      geo.Point{Lat: vpLat[i], Lon: vpLon[i]},
-			SrcIP:    srcs[i],
-			RoundsUp: vpFlags[i]&vpFlagRoundsUp != 0,
-		}
-		vp.SetHidden(pingsim.VPHidden{
-			MgmtLAN:     vpFlags[i]&vpFlagMgmtLAN != 0,
-			MgmtExtraMs: vpExtra[i],
-			Dead:        vpFlags[i]&vpFlagDead != 0,
-		})
-		vps[i] = vp
-		byID[vpID[i]] = vp
-	}
-
-	usableIDs := make([]int, 0)
-	for _, id := range d.u32("vp.usable") {
-		usableIDs = append(usableIDs, int(id))
-	}
-
-	nRS := d.rows("rs.vp", "rs.rtt")
-	rsRTT := make(map[int]float64, nRS)
-	if d.err == nil {
-		rsVP, rtts := d.u32("rs.vp"), d.f64("rs.rtt")
-		for i := 0; i < nRS; i++ {
-			rsRTT[int(rsVP[i])] = rtts[i]
-		}
-	}
-
-	nAgg := d.rows("agg.iface", "agg.rtt", "agg.vp", "agg.flags")
-	aggs := make(map[netip.Addr]*pingsim.IfaceAgg, nAgg)
-	if d.err == nil {
-		iface, rtt, best, flags := d.addrs("agg.iface"), d.f64("agg.rtt"), d.u32("agg.vp"), d.u8("agg.flags")
-		for i := 0; i < nAgg; i++ {
-			a := &pingsim.IfaceAgg{
-				RTTMinMs:     rtt[i],
-				BestRoundsUp: flags[i]&aggFlagBestRoundsUp != 0,
-				AnyRounding:  flags[i]&aggFlagAnyRounding != 0,
-			}
-			if best[i] != noVP {
-				vp := byID[best[i]]
-				if vp == nil {
-					return nil, fmt.Errorf("%w: aggregate for %s references unknown VP %d", ErrInvalid, iface[i], best[i])
-				}
-				a.BestVP = vp
-			}
-			aggs[iface[i]] = a
-		}
-	}
-
-	if d.err != nil {
-		return nil, d.err
-	}
-	r, err := pingsim.RestoredResult(vps, usableIDs, rsRTT, aggs)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
+		return nil, invalid(err)
 	}
 	return r, nil
 }
@@ -1241,116 +502,67 @@ func decodePing(payload []byte) (*pingsim.Result, error) {
 // ---------------------------------------------------------------------------
 // paths
 
+// pathTable stores the corpus as per-path columns plus one hop slab:
+// "path.hops.n" counts each path's hops in "hop.ip" and "hop.rtt".
+// Decoded paths share one contiguous hop slab — 1024x carries tens of
+// millions of hops, and per-path slices would fragment the heap.
+var pathTable = snapshot.Table[traix.Path]{
+	snapshot.U32("path.src", func(p *traix.Path) *netsim.ASN { return &p.SrcASN }),
+	snapshot.PackedAddr("path.dst", func(p *traix.Path) *netip.Addr { return &p.Dst }),
+	snapshot.List("path.hops.n", func(p *traix.Path) *[]traix.Hop { return &p.Hops }, snapshot.Table[traix.Hop]{
+		snapshot.PackedAddr("hop.ip", func(h *traix.Hop) *netip.Addr { return &h.IP }),
+		snapshot.F64("hop.rtt", func(h *traix.Hop) *float64 { return &h.RTTMs }),
+	}),
+}
+
 func encodePaths(paths []*traix.Path) []byte {
-	var c colset
-	n := len(paths)
-	src := make([]uint32, n)
-	dst := make([]netip.Addr, n)
-	hopN := make([]uint32, n)
-	totalHops := 0
-	for _, p := range paths {
-		totalHops += len(p.Hops)
-	}
-	hopIP := make([]netip.Addr, 0, totalHops)
-	hopRTT := make([]float64, 0, totalHops)
-	for i, p := range paths {
-		src[i] = uint32(p.SrcASN)
-		dst[i] = p.Dst
-		hopN[i] = uint32(len(p.Hops))
-		for _, h := range p.Hops {
-			hopIP = append(hopIP, h.IP)
-			hopRTT = append(hopRTT, h.RTTMs)
-		}
-	}
-	c.u32("path.src", src)
-	c.u8("path.dst", packAddrs(dst))
-	c.u32("path.hops.n", hopN)
-	c.u8("hop.ip", packAddrs(hopIP))
-	c.f64("hop.rtt", hopRTT)
-	return c.encode()
+	return snapshot.EncodeColumns(pathTable.Append(nil, len(paths), func(i int) *traix.Path { return paths[i] }))
 }
 
 func decodePaths(payload []byte) ([]*traix.Path, error) {
-	d, err := newSecdec(payload)
+	g, err := snapshot.ReadGroup(payload)
 	if err != nil {
-		return nil, err
+		return nil, invalid(err)
 	}
-	n := d.rows("path.src", "path.hops.n")
-	if d.err != nil {
-		return nil, d.err
+	paths := pathTable.Read(g)
+	if err := g.Err(); err != nil {
+		return nil, invalid(err)
 	}
-	src, hopN := d.u32("path.src"), d.u32("path.hops.n")
-	dsts, err := unpackAddrs(d.u8("path.dst"), n)
-	if err != nil {
-		return nil, err
-	}
-	totalHops := 0
-	for _, h := range hopN {
-		totalHops += int(h)
-	}
-	hopRTT := d.f64("hop.rtt")
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(hopRTT) != totalHops {
-		return nil, fmt.Errorf("%w: hop.rtt has %d values, counts sum to %d", ErrInvalid, len(hopRTT), totalHops)
-	}
-	hopIPs, err := unpackAddrs(d.u8("hop.ip"), totalHops)
-	if err != nil {
-		return nil, err
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	paths := make([]*traix.Path, n)
-	// One contiguous hop slab for the whole corpus: 1024x carries tens
-	// of millions of hops, and per-path slices would fragment the heap.
-	hops := make([]traix.Hop, totalHops)
-	for i := range hops {
-		hops[i] = traix.Hop{IP: hopIPs[i], RTTMs: hopRTT[i]}
-	}
-	off := 0
-	for i := range paths {
-		cnt := int(hopN[i])
-		paths[i] = &traix.Path{
-			SrcASN: netsim.ASN(src[i]),
-			Dst:    dsts[i],
-			Hops:   hops[off : off+cnt : off+cnt],
-		}
-		off += cnt
-	}
-	return paths, nil
+	return ptrs(paths), nil
 }
 
 // ---------------------------------------------------------------------------
 // meta
 
+var (
+	seedTable  = snapshot.Table[int64]{snapshot.U64("seed", snapshot.Self[int64])}
+	speedTable = snapshot.Table[float64]{snapshot.F64("speed", snapshot.Self[float64])}
+)
+
 func encodeMeta(in core.Inputs) []byte {
-	var c colset
-	c.u64("seed", []uint64{uint64(in.Seed)})
-	c.f64("speed", []float64{in.Speed.VMaxKmPerMs, in.Speed.A, in.Speed.B})
-	return c.encode()
+	cols := seedTable.AppendSlice(nil, []int64{in.Seed})
+	cols = speedTable.AppendSlice(cols, []float64{in.Speed.VMaxKmPerMs, in.Speed.A, in.Speed.B})
+	return snapshot.EncodeColumns(cols)
 }
 
 func decodeMeta(payload []byte, in *core.Inputs) error {
-	d, err := newSecdec(payload)
+	g, err := snapshot.ReadGroup(payload)
 	if err != nil {
-		return err
+		return invalid(err)
 	}
-	seed := d.u64("seed")
-	speed := d.f64("speed")
-	if d.err != nil {
-		return d.err
+	seed, speed := seedTable.Read(g), speedTable.Read(g)
+	if err := g.Err(); err != nil {
+		return invalid(err)
 	}
 	if len(seed) != 1 || len(speed) != 3 {
 		return fmt.Errorf("%w: meta section has %d seed and %d speed values", ErrInvalid, len(seed), len(speed))
 	}
-	in.Seed = int64(seed[0])
-	in.Speed = geo.SpeedModel{VMaxKmPerMs: speed[0], A: speed[1], B: speed[2]}
 	for _, v := range speed {
 		if math.IsNaN(v) {
 			return fmt.Errorf("%w: NaN speed-model parameter", ErrInvalid)
 		}
 	}
+	in.Seed = seed[0]
+	in.Speed = geo.SpeedModel{VMaxKmPerMs: speed[0], A: speed[1], B: speed[2]}
 	return nil
 }

@@ -16,9 +16,9 @@
 //	u16 name length | name | u32 payload length | payload | u32 CRC32C(payload)
 //
 // — the same Castagnoli checksum discipline as internal/wal frames and
-// internal/snapshot files. Section payloads are column groups in the
-// internal/snapshot wire encoding (except "config", which is a small
-// JSON document). The header fingerprint is core.Fingerprint of the
+// internal/snapshot files. Section payloads are column groups written
+// and read through internal/snapshot schema tables (sections.go),
+// except "config", which is a small JSON document. The header fingerprint is core.Fingerprint of the
 // decoded bundle, recomputed and compared at load time, so a file
 // cannot silently impersonate a different (seed, scale) world — and a
 // loaded bundle is pinned byte-identical to in-process generation by
@@ -37,9 +37,9 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 
 	"rpeer/internal/core"
+	"rpeer/internal/snapshot"
 	"rpeer/internal/wal"
 )
 
@@ -88,30 +88,24 @@ func Encode(in core.Inputs) ([]byte, error) {
 	if in.World == nil || in.Dataset == nil || in.Colo == nil || in.Ping == nil {
 		return nil, fmt.Errorf("worldfile: encode needs a complete input bundle (world, dataset, colo, ping)")
 	}
-	sections := make([]section, 0, 7)
-	add := func(name string, payload []byte) {
-		sections = append(sections, section{name: name, payload: payload})
-	}
 	cfg, err := encodeConfig(in.World.Cfg)
 	if err != nil {
 		return nil, err
 	}
-	add(secConfig, cfg)
-	world, err := encodeWorld(in.World)
-	if err != nil {
-		return nil, err
+	sections := []section{
+		{secConfig, cfg},
+		{secWorld, encodeWorld(in.World)},
+		{secDataset, encodeDataset(in.Dataset)},
+		{secColo, encodeColo(in.Colo)},
+		{secPing, encodePing(in.Ping)},
+		{secPaths, encodePaths(in.Paths)},
+		{secMeta, encodeMeta(in)},
 	}
-	add(secWorld, world)
-	add(secDataset, encodeDataset(in.Dataset))
-	add(secColo, encodeColo(in.Colo))
-	ping, err := encodePing(in.Ping)
-	if err != nil {
-		return nil, err
-	}
-	add(secPing, ping)
-	add(secPaths, encodePaths(in.Paths))
-	add(secMeta, encodeMeta(in))
+	return assemble(core.Fingerprint(in), sections), nil
+}
 
+// assemble frames checksummed sections behind the file header.
+func assemble(fp uint64, sections []section) []byte {
 	size := len(Magic) + 4 + 8 + 4
 	for _, s := range sections {
 		size += 2 + len(s.name) + 4 + len(s.payload) + 4
@@ -119,7 +113,7 @@ func Encode(in core.Inputs) ([]byte, error) {
 	b := make([]byte, 0, size)
 	b = append(b, Magic...)
 	b = binary.LittleEndian.AppendUint32(b, FormatVersion)
-	b = binary.LittleEndian.AppendUint64(b, core.Fingerprint(in))
+	b = binary.LittleEndian.AppendUint64(b, fp)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(sections)))
 	for _, s := range sections {
 		b = binary.LittleEndian.AppendUint16(b, uint16(len(s.name)))
@@ -128,7 +122,7 @@ func Encode(in core.Inputs) ([]byte, error) {
 		b = append(b, s.payload...)
 		b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(s.payload, castagnoli))
 	}
-	return b, nil
+	return b
 }
 
 type section struct {
@@ -156,7 +150,6 @@ func Decode(data []byte) (core.Inputs, error) {
 		name string
 		dec  func([]byte) error
 	}{
-		{secConfig, func(p []byte) error { return nil }}, // consumed by secWorld below
 		{secWorld, func(p []byte) error {
 			cfgRaw, err := need(secConfig)
 			if err != nil {
@@ -166,45 +159,13 @@ func Decode(data []byte) (core.Inputs, error) {
 			if err != nil {
 				return err
 			}
-			w, err := decodeWorld(cfg, p)
-			if err != nil {
-				return err
-			}
-			in.World = w
-			return nil
+			in.World, err = decodeWorld(cfg, p)
+			return err
 		}},
-		{secDataset, func(p []byte) error {
-			ds, err := decodeDataset(p)
-			if err != nil {
-				return err
-			}
-			in.Dataset = ds
-			return nil
-		}},
-		{secColo, func(p []byte) error {
-			colo, err := decodeColo(p)
-			if err != nil {
-				return err
-			}
-			in.Colo = colo
-			return nil
-		}},
-		{secPing, func(p []byte) error {
-			ping, err := decodePing(p)
-			if err != nil {
-				return err
-			}
-			in.Ping = ping
-			return nil
-		}},
-		{secPaths, func(p []byte) error {
-			paths, err := decodePaths(p)
-			if err != nil {
-				return err
-			}
-			in.Paths = paths
-			return nil
-		}},
+		{secDataset, func(p []byte) (err error) { in.Dataset, err = decodeDataset(p); return err }},
+		{secColo, func(p []byte) (err error) { in.Colo, err = decodeColo(p); return err }},
+		{secPing, func(p []byte) (err error) { in.Ping, err = decodePing(p); return err }},
+		{secPaths, func(p []byte) (err error) { in.Paths, err = decodePaths(p); return err }},
 		{secMeta, func(p []byte) error { return decodeMeta(p, &in) }},
 	} {
 		p, err := need(step.name)
@@ -225,45 +186,25 @@ func Decode(data []byte) (core.Inputs, error) {
 // checksum-verified payload of each section (zero-copy slices of data)
 // plus the header fingerprint.
 func splitSections(data []byte) (map[string][]byte, uint64, error) {
-	headerLen := len(Magic) + 4 + 8 + 4
-	if len(data) < headerLen {
+	if len(data) < len(Magic)+4+8+4 {
 		return nil, 0, fmt.Errorf("%w: %d bytes is too short", ErrInvalid, len(data))
 	}
 	if string(data[:len(Magic)]) != Magic {
 		return nil, 0, fmt.Errorf("%w: bad magic", ErrInvalid)
 	}
-	off := len(Magic)
-	ver := binary.LittleEndian.Uint32(data[off:])
-	off += 4
-	if ver > FormatVersion {
+	rd := snapshot.NewReader(data[len(Magic):])
+	if ver := rd.U32(); ver > FormatVersion {
 		return nil, 0, fmt.Errorf("%w: file is v%d, newest supported is v%d", ErrVersion, ver, FormatVersion)
 	}
-	fp := binary.LittleEndian.Uint64(data[off:])
-	off += 8
-	nSections := int(binary.LittleEndian.Uint32(data[off:]))
-	off += 4
-	payloads := make(map[string][]byte, nSections)
-	for i := 0; i < nSections; i++ {
-		if off+2 > len(data) {
-			return nil, 0, fmt.Errorf("%w: truncated in section %d header", ErrInvalid, i)
+	fp := rd.U64()
+	payloads := make(map[string][]byte)
+	for n := rd.Count(2 + 4 + 4); len(payloads) < n && rd.Err() == nil; {
+		name := rd.Str()
+		payload := rd.Bytes(int(rd.U32()))
+		sum := rd.U32()
+		if rd.Err() != nil {
+			return nil, 0, fmt.Errorf("%w: section %d (%q) truncated: %v", ErrInvalid, len(payloads), name, rd.Err())
 		}
-		nameLen := int(binary.LittleEndian.Uint16(data[off:]))
-		off += 2
-		if off+nameLen+4 > len(data) {
-			return nil, 0, fmt.Errorf("%w: truncated in section %d name", ErrInvalid, i)
-		}
-		name := string(data[off : off+nameLen])
-		off += nameLen
-		payloadLen := int(binary.LittleEndian.Uint32(data[off:]))
-		off += 4
-		if payloadLen < 0 || off+payloadLen+4 > len(data) {
-			return nil, 0, fmt.Errorf("%w: section %q truncated (%d payload bytes claimed, %d remain)",
-				ErrInvalid, name, payloadLen, len(data)-off)
-		}
-		payload := data[off : off+payloadLen]
-		off += payloadLen
-		sum := binary.LittleEndian.Uint32(data[off:])
-		off += 4
 		if crc32.Checksum(payload, castagnoli) != sum {
 			return nil, 0, fmt.Errorf("%w: section %q checksum mismatch", ErrInvalid, name)
 		}
@@ -272,46 +213,24 @@ func splitSections(data []byte) (map[string][]byte, uint64, error) {
 		}
 		payloads[name] = payload
 	}
-	if off != len(data) {
-		return nil, 0, fmt.Errorf("%w: %d trailing bytes after last section", ErrInvalid, len(data)-off)
+	if rd.Err() != nil {
+		return nil, 0, fmt.Errorf("%w: %v", ErrInvalid, rd.Err())
+	}
+	if rd.Len() != 0 {
+		return nil, 0, fmt.Errorf("%w: %d trailing bytes after last section", ErrInvalid, rd.Len())
 	}
 	return payloads, fp, nil
 }
 
-// Write publishes the bundle to path atomically: tmp file, fsync,
-// rename, directory fsync — the internal/wal durability discipline, so
-// a crash mid-write never leaves a half world behind the final name.
+// Write publishes the bundle to path atomically (wal.Publish), so a
+// crash mid-write never leaves a half world behind the final name.
 func Write(fsys wal.FS, path string, in core.Inputs) error {
 	b, err := Encode(in)
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	f, err := fsys.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("worldfile: create %s: %w", tmp, err)
-	}
-	cleanup := func() { _ = fsys.Remove(tmp) }
-	if _, err := f.Write(b); err != nil {
-		f.Close()
-		cleanup()
-		return fmt.Errorf("worldfile: write %s: %w", tmp, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		cleanup()
-		return fmt.Errorf("worldfile: sync %s: %w", tmp, err)
-	}
-	if err := f.Close(); err != nil {
-		cleanup()
-		return fmt.Errorf("worldfile: close %s: %w", tmp, err)
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		cleanup()
-		return fmt.Errorf("worldfile: publish %s: %w", path, err)
-	}
-	if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
-		return fmt.Errorf("worldfile: sync dir after publishing %s: %w", path, err)
+	if err := wal.Publish(fsys, path, b); err != nil {
+		return fmt.Errorf("worldfile: %w", err)
 	}
 	return nil
 }

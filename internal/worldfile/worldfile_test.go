@@ -2,6 +2,8 @@ package worldfile_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"math"
 	"net/netip"
@@ -302,5 +304,17 @@ func TestOverridesComposeOnRestoredCampaign(t *testing.T) {
 			t.Fatalf("override leaked into base view for %s", ip)
 		}
 		break
+	}
+}
+
+// worldFileSHA256 pins the .rpw bytes of the tiny seed-42 bundle. A
+// change here is a format change: it needs a FormatVersion bump, never
+// a silent re-pin.
+const worldFileSHA256 = "78849e9bf78eb5a9d2b9a9955d46a8c70632f12768526fc19ee79c0d251d706e"
+
+func TestWorldFileBytesPinned(t *testing.T) {
+	sum := sha256.Sum256(encode(t, testInputs(t)))
+	if got := hex.EncodeToString(sum[:]); got != worldFileSHA256 {
+		t.Fatalf(".rpw sha256 = %s, want %s", got, worldFileSHA256)
 	}
 }

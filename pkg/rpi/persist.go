@@ -253,11 +253,9 @@ func recoverState(fsys wal.FS, dir string, base Inputs, cfg config, maxSeq uint6
 		return nil, nil, fmt.Errorf("%w: %v", ErrMissingInput, err)
 	}
 
-	vpByID := make(map[uint32]*pingsim.VP)
+	var vpByID map[uint32]*pingsim.VP
 	if base.Ping != nil {
-		for _, vp := range base.Ping.VPs {
-			vpByID[uint32(vp.ID)] = vp
-		}
+		vpByID = core.VPsByID(base.Ping.VPs)
 	}
 
 	names, err := fsys.ReadDir(dir)
