@@ -61,7 +61,7 @@ func GenerateWorkers(cfg Config, workers int) (*World, error) {
 		cfg:     cfg,
 		seed:    cfg.Seed,
 		workers: workers,
-		w:       &World{Cfg: cfg, ASes: make(map[ASN]*AS, cfg.NASes+cfg.NResellers), Routers: make(map[RouterID]*Router)},
+		w:       &World{Cfg: cfg, ASes: make(map[ASN]*AS, cfg.NASes+cfg.NResellers)},
 		// The peering pool base must stay 185.0.0.0 — the allocator is a
 		// sequential bump, so widening the root (here /8: the 1024x world
 		// needs ~5.6M LAN addresses, past a /10) changes nothing for
@@ -109,7 +109,9 @@ func GenerateWorkers(cfg Config, workers int) (*World, error) {
 	if err := g.buildPrivateLinks(); err != nil {
 		return nil, err
 	}
-	g.w.buildIndices()
+	if err := g.w.buildIndices(); err != nil {
+		return nil, err
+	}
 	return g.w, nil
 }
 
@@ -135,7 +137,6 @@ type gen struct {
 
 	ixpLANs  []netip.Prefix // per IXP, parallel to w.IXPs
 	routers  map[routerKey]RouterID
-	nextRtr  RouterID
 	cityFacs map[string][]FacilityID // city name -> facilities
 	// facVecs / asVecs precompute unit vectors for the membership
 	// planner's distance queries (dot-product arcs instead of repeated
@@ -177,7 +178,6 @@ func (g *gen) homeFacility(a *AS) FacilityID {
 
 func (g *gen) buildFacilities() {
 	g.cityFacs = make(map[string][]FacilityID, len(g.w.Cities))
-	g.w.facByID = make(map[FacilityID]*Facility)
 	var id FacilityID
 	for ci, c := range g.w.Cities {
 		r := rand.New(rng.NewSource(rng.Key2(g.seed, stageFac, uint64(ci))))
@@ -198,7 +198,7 @@ func (g *gen) buildFacilities() {
 				Loc:     loc,
 			}
 			g.w.Facilities = append(g.w.Facilities, f)
-			g.w.facByID[id] = f
+			g.w.facByID = append(g.w.facByID, f)
 			g.cityFacs[c.Name] = append(g.cityFacs[c.Name], id)
 			id++
 		}
@@ -793,8 +793,7 @@ func (g *gen) getRouter(asn ASN, fac FacilityID) (*Router, error) {
 	if id, ok := g.routers[key]; ok {
 		return g.w.Routers[id], nil
 	}
-	id := g.nextRtr
-	g.nextRtr++
+	id := RouterID(len(g.w.Routers))
 	var loc geo.Point
 	if fac >= 0 {
 		loc = g.w.Facility(fac).Loc
@@ -815,7 +814,7 @@ func (g *gen) getRouter(asn ASN, fac FacilityID) (*Router, error) {
 		return nil, err
 	}
 	r.Ifaces = append(r.Ifaces, ip)
-	g.w.Routers[id] = r
+	g.w.Routers = append(g.w.Routers, r)
 	g.routers[key] = id
 	// Ground-truth colocation record.
 	if fac >= 0 {
@@ -909,10 +908,9 @@ func (g *gen) buildPrivateLinks() error {
 	// Routers per facility; router IDs ascend in creation order, which
 	// is already the deterministic realization order.
 	perFac := make(map[FacilityID][]RouterID)
-	for id := RouterID(0); id < g.nextRtr; id++ {
-		r := g.w.Routers[id]
+	for _, r := range g.w.Routers {
 		if r.Facility >= 0 {
-			perFac[r.Facility] = append(perFac[r.Facility], id)
+			perFac[r.Facility] = append(perFac[r.Facility], r.ID)
 		}
 	}
 	var facs []FacilityID

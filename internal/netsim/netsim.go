@@ -13,8 +13,10 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 
 	"rpeer/internal/geo"
@@ -216,28 +218,42 @@ type World struct {
 	Facilities []*Facility
 	IXPs       []*IXP
 	ASes       map[ASN]*AS
-	ASNs       []ASN // sorted, for deterministic iteration
-	Routers    map[RouterID]*Router
+	ASNs       []ASN      // sorted, for deterministic iteration
+	Routers    []*Router  // indexed by RouterID (IDs are 0..n-1)
 	RouterIDs  []RouterID // sorted
 	Members    []*Member
 	Private    []PrivateLink
 	Resellers  []ASN
 
-	ifaceOwner  map[netip.Addr]ASN
-	ifaceRouter map[netip.Addr]RouterID
-	memberByIXP map[IXPID][]*Member
+	// ifaceCol is the interface index: one addr<<32 | RouterID word
+	// per IPv4 router interface, sorted, so RouterOf is one binary
+	// search and no address is ever hashed. Non-IPv4 interfaces (the
+	// generator emits none) go to the small sorted ifaceSpill.
+	ifaceCol   []uint64
+	ifaceSpill []spillIface
+	// memberByIXP and facByID are dense, indexed by IXPID and
+	// FacilityID (both numbered 0..n-1).
+	memberByIXP [][]*Member
+	facByID     []*Facility
 	asMembers   map[ASN][]*Member
 	asPrefixes  map[ASN][]netip.Prefix
-	facByID     map[FacilityID]*Facility
-	// routerByID is the dense fast path behind Router (router IDs are
-	// assigned sequentially by the generator and loader).
-	routerByID []*Router
 
 	lat *Latency
 }
 
+// spillIface is one non-IPv4 entry of the interface index.
+type spillIface struct {
+	addr netip.Addr
+	rid  RouterID
+}
+
 // Facility returns the facility with the given id, or nil.
-func (w *World) Facility(id FacilityID) *Facility { return w.facByID[id] }
+func (w *World) Facility(id FacilityID) *Facility {
+	if id >= 0 && int(id) < len(w.facByID) {
+		return w.facByID[id]
+	}
+	return nil
+}
 
 // IXP returns the IXP with the given id, or nil.
 func (w *World) IXP(id IXPID) *IXP {
@@ -252,35 +268,51 @@ func (w *World) AS(asn ASN) *AS { return w.ASes[asn] }
 
 // Router returns the router with the given id, or nil.
 func (w *World) Router(id RouterID) *Router {
-	if id >= 0 && int(id) < len(w.routerByID) {
-		return w.routerByID[id]
+	if id >= 0 && int(id) < len(w.Routers) {
+		return w.Routers[id]
 	}
-	return w.Routers[id]
+	return nil
 }
 
 // MembersOf returns the ground-truth membership list of an IXP.
-func (w *World) MembersOf(id IXPID) []*Member { return w.memberByIXP[id] }
+func (w *World) MembersOf(id IXPID) []*Member {
+	if id >= 0 && int(id) < len(w.memberByIXP) {
+		return w.memberByIXP[id]
+	}
+	return nil
+}
 
 // NumIfaces returns the total number of router interface addresses in
 // the world — the capacity bound consumers interning world addresses
 // (peering-LAN and infrastructure alike) should presize for.
-func (w *World) NumIfaces() int { return len(w.ifaceOwner) }
+func (w *World) NumIfaces() int { return len(w.ifaceCol) + len(w.ifaceSpill) }
 
 // MembershipsOf returns all IXP memberships of an AS.
 func (w *World) MembershipsOf(asn ASN) []*Member { return w.asMembers[asn] }
 
-// OwnerOf returns the AS owning an interface address and whether the
-// address is known.
-func (w *World) OwnerOf(ip netip.Addr) (ASN, bool) {
-	a, ok := w.ifaceOwner[ip]
-	return a, ok
-}
-
 // RouterOf returns the router an interface address belongs to and
 // whether the address is known.
 func (w *World) RouterOf(ip netip.Addr) (RouterID, bool) {
-	r, ok := w.ifaceRouter[ip]
-	return r, ok
+	if ip.Is4() {
+		a := addr4(ip)
+		i, _ := slices.BinarySearch(w.ifaceCol, a<<32)
+		if i < len(w.ifaceCol) && w.ifaceCol[i]>>32 == a {
+			return RouterID(uint32(w.ifaceCol[i])), true
+		}
+		return 0, false
+	}
+	i, ok := slices.BinarySearchFunc(w.ifaceSpill, ip, func(e spillIface, t netip.Addr) int { return e.addr.Compare(t) })
+	if !ok {
+		return 0, false
+	}
+	return w.ifaceSpill[i].rid, true
+}
+
+// addr4 is an IPv4 address as a big-endian word, so word order is
+// address order.
+func addr4(ip netip.Addr) uint64 {
+	b := ip.As4()
+	return uint64(b[0])<<24 | uint64(b[1])<<16 | uint64(b[2])<<8 | uint64(b[3])
 }
 
 // ASPrefixes returns the infrastructure prefixes originated by an AS.
@@ -335,32 +367,46 @@ func CommonFacilities(a, b []FacilityID) []FacilityID {
 	return out
 }
 
-// buildIndices populates the lookup maps after generation.
-func (w *World) buildIndices() {
+// buildIndices populates the lookup indices after generation or
+// assembly. Routers must already sit at their ID and members name
+// known IXPs; an interface address claimed twice is an error (the index
+// could not say whose it is).
+func (w *World) buildIndices() error {
 	nIfaces := 0
-	maxRtr := RouterID(-1)
 	for _, r := range w.Routers {
 		nIfaces += len(r.Ifaces)
-		if r.ID > maxRtr {
-			maxRtr = r.ID
-		}
 	}
-	w.ifaceOwner = make(map[netip.Addr]ASN, nIfaces)
-	w.ifaceRouter = make(map[netip.Addr]RouterID, nIfaces)
-	w.memberByIXP = make(map[IXPID][]*Member, len(w.IXPs))
-	w.asMembers = make(map[ASN][]*Member, len(w.ASes))
-	w.facByID = make(map[FacilityID]*Facility, len(w.Facilities))
-	for _, f := range w.Facilities {
-		w.facByID[f.ID] = f
-	}
-	w.routerByID = make([]*Router, maxRtr+1)
-	for _, r := range w.Routers {
-		w.routerByID[r.ID] = r
+	w.RouterIDs = make([]RouterID, len(w.Routers))
+	w.ifaceCol = make([]uint64, 0, nIfaces)
+	w.ifaceSpill = nil
+	for i, r := range w.Routers {
+		w.RouterIDs[i] = r.ID
 		for _, ip := range r.Ifaces {
-			w.ifaceOwner[ip] = r.Owner
-			w.ifaceRouter[ip] = r.ID
+			if ip.Is4() {
+				w.ifaceCol = append(w.ifaceCol, addr4(ip)<<32|uint64(uint32(r.ID)))
+			} else {
+				w.ifaceSpill = append(w.ifaceSpill, spillIface{ip, r.ID})
+			}
 		}
 	}
+	slices.Sort(w.ifaceCol)
+	for i := 1; i < len(w.ifaceCol); i++ {
+		if a := w.ifaceCol[i] >> 32; a == w.ifaceCol[i-1]>>32 {
+			return fmt.Errorf("netsim: interface %v is claimed by routers %d and %d",
+				netip.AddrFrom4([4]byte{byte(a >> 24), byte(a >> 16), byte(a >> 8), byte(a)}),
+				uint32(w.ifaceCol[i-1]), uint32(w.ifaceCol[i]))
+		}
+	}
+	slices.SortFunc(w.ifaceSpill, func(a, b spillIface) int {
+		return cmp.Or(a.addr.Compare(b.addr), cmp.Compare(a.rid, b.rid))
+	})
+	for i := 1; i < len(w.ifaceSpill); i++ {
+		if a, b := w.ifaceSpill[i-1], w.ifaceSpill[i]; a.addr == b.addr {
+			return fmt.Errorf("netsim: interface %v is claimed by routers %d and %d", a.addr, a.rid, b.rid)
+		}
+	}
+	w.memberByIXP = make([][]*Member, len(w.IXPs))
+	w.asMembers = make(map[ASN][]*Member, len(w.ASes))
 	for _, m := range w.Members {
 		w.memberByIXP[m.IXP] = append(w.memberByIXP[m.IXP], m)
 		w.asMembers[m.ASN] = append(w.asMembers[m.ASN], m)
@@ -369,10 +415,6 @@ func (w *World) buildIndices() {
 	for asn := range w.ASes {
 		w.ASNs = append(w.ASNs, asn)
 	}
-	sort.Slice(w.ASNs, func(i, j int) bool { return w.ASNs[i] < w.ASNs[j] })
-	w.RouterIDs = w.RouterIDs[:0]
-	for id := range w.Routers {
-		w.RouterIDs = append(w.RouterIDs, id)
-	}
-	sort.Slice(w.RouterIDs, func(i, j int) bool { return w.RouterIDs[i] < w.RouterIDs[j] })
+	slices.Sort(w.ASNs)
+	return nil
 }

@@ -63,9 +63,6 @@ func TestMembershipConsistency(t *testing.T) {
 		if r.Owner != m.ASN {
 			t.Errorf("member AS%d rides router owned by AS%d", m.ASN, r.Owner)
 		}
-		if owner, ok := w.OwnerOf(m.Iface); !ok || owner != m.ASN {
-			t.Errorf("iface owner index broken for %v", m.Iface)
-		}
 		if rid, ok := w.RouterOf(m.Iface); !ok || rid != m.Router {
 			t.Errorf("iface router index broken for %v", m.Iface)
 		}
@@ -73,6 +70,7 @@ func TestMembershipConsistency(t *testing.T) {
 			t.Error("reseller membership without reseller ASN")
 		}
 	}
+	checkIfaceIndex(t, w)
 }
 
 func TestGroundTruthLocalMeansColocated(t *testing.T) {

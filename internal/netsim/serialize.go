@@ -54,9 +54,7 @@ func (w *World) Save(out io.Writer) error {
 			doc.Prefixes = append(doc.Prefixes, e)
 		}
 	}
-	for _, id := range w.RouterIDs {
-		doc.Routers = append(doc.Routers, w.Routers[id])
-	}
+	doc.Routers = w.Routers
 	enc := json.NewEncoder(out)
 	return enc.Encode(doc)
 }
@@ -91,21 +89,20 @@ func (w *World) Parts() WorldParts {
 		Members:    w.Members,
 		Private:    w.Private,
 		Resellers:  w.Resellers,
+		Routers:    w.Routers,
 		Prefixes:   w.asPrefixes,
 	}
 	for _, asn := range w.ASNs {
 		p.ASes = append(p.ASes, w.ASes[asn])
 	}
-	for _, id := range w.RouterIDs {
-		p.Routers = append(p.Routers, w.Routers[id])
-	}
 	return p
 }
 
 // FromParts assembles a live World from deserialised entity content:
-// lookup maps, dense indices and the latency oracle are rebuilt, and
-// member references are sanity-checked. The result is indistinguishable
-// from the World the parts were captured from.
+// lookup indices and the latency oracle are rebuilt, and entity IDs,
+// member references and interface ownership are sanity-checked. The
+// result is indistinguishable from the World the parts were captured
+// from.
 func FromParts(parts WorldParts) (*World, error) {
 	w := &World{
 		Cfg:        parts.Cfg,
@@ -116,7 +113,7 @@ func FromParts(parts WorldParts) (*World, error) {
 		Private:    parts.Private,
 		Resellers:  parts.Resellers,
 		ASes:       make(map[ASN]*AS, len(parts.ASes)),
-		Routers:    make(map[RouterID]*Router, len(parts.Routers)),
+		Routers:    make([]*Router, len(parts.Routers)),
 		asPrefixes: parts.Prefixes,
 	}
 	if w.asPrefixes == nil {
@@ -125,18 +122,27 @@ func FromParts(parts WorldParts) (*World, error) {
 	for _, as := range parts.ASes {
 		w.ASes[as.ASN] = as
 	}
-	// Router IDs index a dense table (generation numbers them 0..n-1),
-	// so each must be distinct and below the router count.
-	seen := make([]bool, len(parts.Routers))
+	// Router and facility IDs index dense tables (generation numbers
+	// them 0..n-1), so each must be distinct and below its count.
 	for _, r := range parts.Routers {
-		if r.ID < 0 || int(r.ID) >= len(seen) || seen[r.ID] {
-			return nil, fmt.Errorf("netsim: router id %d is not a distinct id below %d", r.ID, len(seen))
+		if r.ID < 0 || int(r.ID) >= len(w.Routers) || w.Routers[r.ID] != nil {
+			return nil, fmt.Errorf("netsim: router id %d is not a distinct id below %d", r.ID, len(w.Routers))
 		}
-		seen[r.ID] = true
 		w.Routers[r.ID] = r
 	}
-	w.lat = newLatency(w, parts.Cfg.Seed)
-	w.buildIndices()
+	w.facByID = make([]*Facility, len(parts.Facilities))
+	for _, f := range parts.Facilities {
+		if f.ID < 0 || int(f.ID) >= len(w.facByID) || w.facByID[f.ID] != nil {
+			return nil, fmt.Errorf("netsim: facility id %d is not a distinct id below %d", f.ID, len(w.facByID))
+		}
+		w.facByID[f.ID] = f
+	}
+	// World.IXP indexes the IXP slice by ID.
+	for i, ix := range parts.IXPs {
+		if ix.ID != IXPID(i) {
+			return nil, fmt.Errorf("netsim: IXP %d carries id %d", i, ix.ID)
+		}
+	}
 	// Sanity: every member must reference known entities.
 	for _, m := range w.Members {
 		if w.IXP(m.IXP) == nil {
@@ -145,6 +151,10 @@ func FromParts(parts WorldParts) (*World, error) {
 		if w.Router(m.Router) == nil {
 			return nil, fmt.Errorf("netsim: member %s references unknown router %d", m.ASN, m.Router)
 		}
+	}
+	w.lat = newLatency(w, parts.Cfg.Seed)
+	if err := w.buildIndices(); err != nil {
+		return nil, err
 	}
 	// The reseller list names each AS flagged as a reseller, once.
 	listed := make(map[ASN]bool, len(w.Resellers))

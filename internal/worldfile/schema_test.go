@@ -157,7 +157,38 @@ func TestDecodeWorldRejectsBadRouterIDs(t *testing.T) {
 	}
 }
 
-func mustColumns(t *testing.T, payload []byte) []snapshot.Column {
+// TestDecodeWorldRejectsSharedIface: two routers claiming one
+// interface address leave its owner undefined, so a world section that
+// does so (CRC and all valid) must be refused.
+func TestDecodeWorldRejectsSharedIface(t *testing.T) {
+	in, payloads, _ := tinySections(t)
+	if _, err := decodeWorld(in.World.Cfg, sharedIfaceWorld(t, payloads[secWorld])); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("got %v, want ErrInvalid", err)
+	}
+}
+
+// sharedIfaceWorld rewrites a world section so router 1's first
+// interface repeats router 0's first interface.
+func sharedIfaceWorld(t testing.TB, payload []byte) []byte {
+	t.Helper()
+	cols := mustColumns(t, payload)
+	var n, addrs *snapshot.Column
+	for i := range cols {
+		switch cols[i].Name {
+		case "rtr.ifaces.n":
+			n = &cols[i]
+		case "rtr.ifaces":
+			addrs = &cols[i]
+		}
+	}
+	if n == nil || addrs == nil || n.U32[0] == 0 || n.U32[1] == 0 {
+		t.Fatal("fixture lacks two routers with interfaces")
+	}
+	addrs.Addr[n.U32[0]] = addrs.Addr[0]
+	return snapshot.EncodeColumns(cols)
+}
+
+func mustColumns(t testing.TB, payload []byte) []snapshot.Column {
 	t.Helper()
 	cols, err := snapshot.DecodeColumns(payload)
 	if err != nil {
@@ -170,7 +201,8 @@ func mustColumns(t *testing.T, payload []byte) []snapshot.Column {
 // reader and every schema-driven decoder: each must accept or answer
 // ErrInvalid, never panic or over-allocate, and an accepted group must
 // re-encode to the same bytes. Seeds are every column-group section of
-// a real .rpw file and a real checkpoint (core.DumpColumns) group.
+// a real .rpw file, a real checkpoint (core.DumpColumns) group and a
+// world section in which two routers claim one interface.
 func FuzzDecodeColumns(f *testing.F) {
 	in, payloads, _ := tinySections(f)
 	for _, name := range sectionOrder[1:] {
@@ -181,6 +213,7 @@ func FuzzDecodeColumns(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(snapshot.EncodeColumns(ctx.DumpColumns().Columns))
+	f.Add(sharedIfaceWorld(f, payloads[secWorld]))
 
 	decoders := map[string]func([]byte) error{
 		secWorld:   func(p []byte) error { _, err := decodeWorld(in.World.Cfg, p); return err },
